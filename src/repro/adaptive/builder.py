@@ -212,9 +212,9 @@ class BackgroundBuilder:
         optionally replaces the build substrate — a process pool whose
         workers inherited the pre-update graph at spawn cannot build
         correct trees anymore, so the service hands over an in-process
-        fallback.  A build already in flight on the old substrate may
-        still land; its key is in the update's affected set, so the
-        caller's eviction pass runs after this swap.
+        fallback.  A build already in flight on the old substrate is
+        dropped when it finishes: the caller's eviction pass, which runs
+        after this swap, moves the partial index's generation.
         """
         self._graph = graph
         if executor is not None:
@@ -256,6 +256,9 @@ class BackgroundBuilder:
             kind="adaptive_build",
             build={"side": side.value, "vertex": vertex},
         )
+        # Read before building: an update that evicts meanwhile moves
+        # it, and put() then drops this possibly pre-update tree.
+        generation = self._partial.generation
         start = time.perf_counter()
         try:
             with trace.span("build"):
@@ -271,7 +274,9 @@ class BackgroundBuilder:
             self._emit_trace(trace)
             return False
         elapsed = time.perf_counter() - start
-        inserted, evicted = self._partial.put(side, vertex, tree, bicliques)
+        inserted, evicted = self._partial.put(
+            side, vertex, tree, bicliques, generation=generation
+        )
         self.builds_total += 1
         if self._builds_counter is not None:
             self._builds_counter.inc()

@@ -16,7 +16,11 @@ through its degradation chain without treating the miss as a failure.
 Invalidation reuses the affected-set rule of
 :func:`repro.core.dynamic.edge_affected_sets`: an edge update drops
 exactly the resident trees a :class:`~repro.core.dynamic.DynamicPMBCIndex`
-would rebuild.
+would rebuild.  Every eviction or invalidation also bumps a
+:attr:`PartialIndex.generation`; a builder that read the generation
+before building passes it to :meth:`PartialIndex.put`, which drops the
+tree if the generation moved meanwhile — the build may have read the
+graph from before an update whose eviction it would otherwise undo.
 
 Persistence round-trips through a plain :class:`PMBCIndex`
 (:meth:`to_index` / :meth:`warm_from`), so the unified
@@ -102,8 +106,10 @@ class PartialIndex:
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[Side, int], _Entry] = OrderedDict()
         self._bytes = 0
+        self._generation = 0
         self.evictions_total = 0
         self.invalidations_total = 0
+        self.stale_puts_total = 0
 
     # ------------------------------------------------------------------
     # residency
@@ -129,6 +135,16 @@ class PartialIndex:
         with self._lock:
             return list(self._entries)
 
+    @property
+    def generation(self) -> int:
+        """Counter bumped by every eviction, invalidation and clear.
+
+        :meth:`evict`, :meth:`invalidate_edge` and :meth:`clear` move it;
+        a builder reads it before building and passes it to :meth:`put`.
+        """
+        with self._lock:
+            return self._generation
+
     def coverage(self, num_upper: int, num_lower: int) -> float:
         """Fraction of the graph's vertices with a resident tree."""
         total = num_upper + num_lower
@@ -145,14 +161,18 @@ class PartialIndex:
         vertex: int,
         tree: SearchTree,
         bicliques,
+        generation: int | None = None,
     ) -> tuple[bool, list[tuple[Side, int]]]:
         """Insert (or replace) a vertex's tree, evicting LRU to fit.
 
         ``bicliques`` is the tree's private biclique list, positionally
         matching the ``biclique_id`` values stored in its nodes (the
         shape :func:`repro.exec.tasks.task_build_tree` returns).
-        Returns ``(inserted, evicted_keys)``; ``inserted`` is False
-        when the entry alone exceeds the whole budget.
+        ``generation`` is :attr:`generation` as read before the tree was
+        built; when it has moved since, the tree may predate an update
+        and is dropped (counted in ``stale_puts``).  Returns
+        ``(inserted, evicted_keys)``; ``inserted`` is False when the
+        tree was stale or the entry alone exceeds the whole budget.
         """
         bicliques = list(bicliques)
         entry = _Entry(
@@ -163,6 +183,9 @@ class PartialIndex:
         key = (side, vertex)
         evicted: list[tuple[Side, int]] = []
         with self._lock:
+            if generation is not None and generation != self._generation:
+                self.stale_puts_total += 1
+                return False, evicted
             if entry.size_bytes > self.budget_bytes:
                 # Too large to ever fit; dropping the whole hot set for
                 # one monster tree would be a net loss.
@@ -188,8 +211,13 @@ class PartialIndex:
         return True, evicted
 
     def evict(self, side: Side, vertex: int) -> bool:
-        """Drop one resident tree; returns True when it was resident."""
+        """Drop one resident tree; returns True when it was resident.
+
+        Bumps :attr:`generation` even when nothing was resident, so a
+        build of this vertex already in flight cannot land afterwards.
+        """
         with self._lock:
+            self._generation += 1
             entry = self._entries.pop((side, vertex), None)
             if entry is None:
                 return False
@@ -200,6 +228,7 @@ class PartialIndex:
     def clear(self) -> int:
         """Drop every resident tree; returns the number removed."""
         with self._lock:
+            self._generation += 1
             removed = len(self._entries)
             self._entries.clear()
             self._bytes = 0
@@ -232,6 +261,7 @@ class PartialIndex:
         )
         dropped: list[tuple[Side, int]] = []
         with self._lock:
+            self._generation += 1
             for side, affected in (
                 (Side.UPPER, affected_upper),
                 (Side.LOWER, affected_lower),
@@ -387,4 +417,5 @@ class PartialIndex:
             "utilization": size / self.budget_bytes if self.budget_bytes else 0.0,
             "evictions": self.evictions_total,
             "invalidations": self.invalidations_total,
+            "stale_puts": self.stale_puts_total,
         }

@@ -29,9 +29,10 @@ a brute-force oracle in the tests.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from typing import Iterable, Sequence
 
-from repro.corenum.decomposition import BicoreDecomposition, decompose
+from repro.corenum.decomposition import BicoreDecomposition, _sweeps
 from repro.graph.bipartite import BipartiteGraph, Side
 
 
@@ -93,9 +94,10 @@ def vertex_bound_rows(
 ) -> tuple[int, list[int], list[int]]:
     """One vertex's ``(z, prefix, suffix)`` rows from its own-side stairs.
 
-    The per-vertex kernel of :func:`compute_bounds`, exposed so the
-    incremental maintenance (:mod:`repro.corenum.incremental`) can
-    refresh exactly the rows of vertices whose staircases changed.
+    The staircase route: :func:`compute_bounds` takes it when handed a
+    :class:`BicoreDecomposition`, and
+    :meth:`~repro.corenum.incremental.IncrementalCoreBounds.verify`
+    checks the maintained rows against it.
     """
     products = _own_products(stairs)
     return (
@@ -105,35 +107,135 @@ def vertex_bound_rows(
     )
 
 
+def sweep_bound_rows(
+    own_fixed: Sequence[int], other_fixed: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """One vertex's ``(z, prefix, suffix)`` rows from its sweep columns.
+
+    ``own_fixed[c-1]`` is the vertex's level in the sweep that fixes its
+    own-layer coordinate at ``c`` (the max other coordinate) and
+    ``other_fixed[c-1]`` its level in the sweep that fixes the other
+    coordinate at ``c`` (the max own coordinate), for ``c = 1..δ``.
+    The own staircase is ``own_fixed`` up to δ; beyond δ the max other
+    coordinate at own coordinate ``a`` is ``#{c : other_fixed[c-1] ≥ a}``
+    (``other_fixed`` is non-increasing), a step function with at most δ
+    steps.  Over a step of constant other coordinate ``c`` the products
+    ``a·c`` form an arithmetic run and the suffix max is constant, so the
+    rows are written step by step without materialising the staircase.
+    Equals :func:`vertex_bound_rows` of the staircase entry for entry.
+    """
+    delta = len(own_fixed)
+    length = other_fixed[0] if delta else 0
+    products = [c * level for c, level in enumerate(own_fixed[:length], 1)]
+    prefix = list(accumulate(products, max))
+    best = prefix[-1] if prefix else 0
+    # Beyond δ the steps come in rising own coordinate as c falls; each
+    # is kept as (own coordinates it covers, its top product).
+    steps: list[tuple[int, int]] = []
+    lo = delta + 1
+    for c in range(delta, 0, -1):
+        hi = other_fixed[c - 1]
+        if hi < lo:
+            continue
+        # Products a·c rise through the step; the running max holds
+        # `best` until they pass it.
+        rise = min(max(lo, best // c + 1), hi + 1)
+        prefix += [best] * (rise - lo)
+        prefix += range(rise * c, hi * c + 1, c)
+        best = max(best, hi * c)
+        steps.append((hi - lo + 1, hi * c))
+        lo = hi + 1
+    # Suffix maxima, written back to front and reversed at the end.
+    suffix: list[int] = []
+    top = 0
+    for count, step_top in reversed(steps):
+        top = max(top, step_top)
+        suffix += [top] * count
+    suffix += islice(accumulate(reversed(products), max, initial=top), 1, None)
+    suffix.reverse()
+    return best, prefix, suffix
+
+
+def _level_rows(
+    alpha_sweeps: list[dict[Side, list[int]]],
+    beta_sweeps: list[dict[Side, list[int]]],
+    side: Side,
+) -> tuple[list[list[int]], list[list[int]]]:
+    """``side``'s level rows of the own-fixed and other-fixed sweeps.
+
+    The own-layer coordinate is β for upper vertices and α for lower
+    ones, so on the upper side the own-fixed sweeps are the β-sweeps.
+    Row ``c-1`` of each list is indexed by vertex id.
+    """
+    if side is Side.UPPER:
+        own, other = beta_sweeps, alpha_sweeps
+    else:
+        own, other = alpha_sweeps, beta_sweeps
+    return [sweep[side] for sweep in own], [sweep[side] for sweep in other]
+
+
+def _bounds_from_rows(
+    rows: dict[Side, Iterable[tuple[int, list[int], list[int]]]],
+) -> CoreBounds:
+    """Collect per-vertex ``(z, prefix, suffix)`` rows into :class:`CoreBounds`."""
+    z: dict[Side, list[int]] = {}
+    prefix: dict[Side, list[list[int]]] = {}
+    suffix: dict[Side, list[list[int]]] = {}
+    for side, side_rows in rows.items():
+        z[side], prefix[side], suffix[side] = [], [], []
+        for z_v, pref, suff in side_rows:
+            z[side].append(z_v)
+            prefix[side].append(pref)
+            suffix[side].append(suff)
+    return CoreBounds(z=z, prefix=prefix, suffix=suffix)
+
+
+def _bounds_from_sweeps(
+    alpha_sweeps: list[dict[Side, list[int]]],
+    beta_sweeps: list[dict[Side, list[int]]],
+    sizes: dict[Side, int],
+) -> CoreBounds:
+    """:class:`CoreBounds` of every vertex from a full sweep family.
+
+    ``alpha_sweeps[i]`` / ``beta_sweeps[i]`` are the α=i+1 / β=i+1
+    levels of every vertex and δ is their length; ``sizes`` gives the
+    layer sizes, which an empty family (δ = 0) cannot.
+    """
+    rows = {}
+    for side in Side:
+        own_rows, other_rows = _level_rows(alpha_sweeps, beta_sweeps, side)
+        # zip(*rows) turns the per-sweep rows into per-vertex columns.
+        columns = (
+            zip(zip(*own_rows), zip(*other_rows))
+            if own_rows
+            else [((), ())] * sizes[side]
+        )
+        rows[side] = (sweep_bound_rows(own, other) for own, other in columns)
+    return _bounds_from_rows(rows)
+
+
 def compute_bounds(
     graph: BipartiteGraph, decomposition: BicoreDecomposition | None = None
 ) -> CoreBounds:
-    """Compute :class:`CoreBounds` (runs the decomposition if not given).
+    """Compute :class:`CoreBounds` of ``graph``.
 
-    The own-layer coordinate of an upper vertex is β (lower degrees in
+    Rows come straight from the α-/β-peeling sweeps through
+    :func:`sweep_bound_rows`.  When a ``decomposition`` is given they
+    come from its staircases through :func:`vertex_bound_rows` instead;
+    the own-layer coordinate of an upper vertex is β (lower degrees in
     the core equal the upper-layer count of a witnessed biclique) and of
-    a lower vertex is α, so upper vertices read ``beta_stairs`` and
-    lower vertices ``alpha_stairs``.
+    a lower vertex α, so upper vertices read ``beta_stairs`` and lower
+    vertices ``alpha_stairs``.  Both routes give identical rows.
     """
     if decomposition is None:
-        decomposition = decompose(graph)
+        return _bounds_from_sweeps(
+            *_sweeps(graph),
+            {side: graph.num_vertices_on(side) for side in Side},
+        )
     own_stairs = {
         Side.UPPER: decomposition.beta_stairs[Side.UPPER],
         Side.LOWER: decomposition.alpha_stairs[Side.LOWER],
     }
-    z: dict[Side, list[int]] = {}
-    prefix: dict[Side, list[list[int]]] = {}
-    suffix: dict[Side, list[list[int]]] = {}
-    for side in Side:
-        side_z: list[int] = []
-        side_prefix: list[list[int]] = []
-        side_suffix: list[list[int]] = []
-        for stairs in own_stairs[side]:
-            z_v, pref, suff = vertex_bound_rows(stairs)
-            side_prefix.append(pref)
-            side_suffix.append(suff)
-            side_z.append(z_v)
-        z[side] = side_z
-        prefix[side] = side_prefix
-        suffix[side] = side_suffix
-    return CoreBounds(z=z, prefix=prefix, suffix=suffix)
+    return _bounds_from_rows(
+        {side: map(vertex_bound_rows, own_stairs[side]) for side in Side}
+    )

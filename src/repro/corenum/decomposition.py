@@ -17,16 +17,15 @@ The δ-bounded scheme: any (α,β) with a non-empty core has
 ``min(α,β) ≤ δ``, so sweeping α over ``1..δ`` (max-β per vertex) and β
 over ``1..δ`` (max-α per vertex) fully describes every region; values
 beyond δ in one coordinate are recovered by inverting the other sweep.
+δ itself falls out of the α-sweeps (:func:`_sweeps`), so no separate
+search for it is run.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
-from repro.corenum.peeling import max_delta
 from repro.graph.bipartite import BipartiteGraph, Side
 
 
@@ -40,56 +39,88 @@ def _peel_levels(
     (α,β)-core (0 when ``x`` is in no such core).  Implemented as
     min-degree peeling of the free side with cascading deletions on the
     fixed side — the classic core-decomposition argument extended with
-    one static constraint.
+    one static constraint.  Degrees only fall, so the free side is
+    peeled from per-degree buckets: a vertex is queued again only when
+    its degree drops to a bucket not yet passed, and a removed vertex's
+    degree is set to -1 so its leftover entries are skipped.
     """
     free_side = fixed_side.other
-    deg = {side: graph.degrees(side) for side in Side}
-    alive = {side: [True] * graph.num_vertices_on(side) for side in Side}
-    level = {side: [0] * graph.num_vertices_on(side) for side in Side}
-
-    # Enforce the fixed constraint once (removing fixed-side vertices
-    # never lowers another fixed-side degree, so no cascade yet).
-    init_removed = deque(
-        u for u, d in enumerate(deg[fixed_side]) if d < fixed_value
-    )
-    for u in init_removed:
-        alive[fixed_side][u] = False
-    for u in init_removed:
-        for w in graph.neighbors(fixed_side, u):
-            deg[free_side][w] -= 1
-
-    heap = [
-        (deg[free_side][v], v)
+    fixed_adj = [
+        graph.neighbors(fixed_side, u)
+        for u in range(graph.num_vertices_on(fixed_side))
+    ]
+    free_adj = [
+        graph.neighbors(free_side, v)
         for v in range(graph.num_vertices_on(free_side))
     ]
-    heapq.heapify(heap)
-    current = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if not alive[free_side][v] or d != deg[free_side][v]:
-            continue  # stale entry
-        current = max(current, d)
-        level[free_side][v] = current
-        alive[free_side][v] = False
-        cascade: list[int] = []
-        for u in graph.neighbors(free_side, v):
-            if not alive[fixed_side][u]:
-                continue
-            deg[fixed_side][u] -= 1
-            if deg[fixed_side][u] < fixed_value:
-                cascade.append(u)
-        while cascade:
-            u = cascade.pop()
-            if not alive[fixed_side][u]:
-                continue
-            alive[fixed_side][u] = False
-            level[fixed_side][u] = current
-            for w in graph.neighbors(fixed_side, u):
-                if not alive[free_side][w]:
+    fixed_deg = [len(ns) for ns in fixed_adj]
+    free_deg = [len(ns) for ns in free_adj]
+    fixed_level = [0] * len(fixed_adj)
+    free_level = [0] * len(free_adj)
+
+    # Enforce the fixed constraint once (removing fixed-side vertices
+    # never lowers another fixed-side degree, so no cascade yet).  A
+    # fixed-side vertex leaves exactly when its degree falls to
+    # fixed_value - 1, which those removed here never reach again.
+    for u, d in enumerate(fixed_deg):
+        if d < fixed_value:
+            for w in fixed_adj[u]:
+                free_deg[w] -= 1
+
+    buckets: list[list[int]] = [
+        [] for __ in range(max(free_deg, default=0) + 1)
+    ]
+    for v, d in enumerate(free_deg):
+        buckets[d].append(v)
+    last = fixed_value - 1
+    for k, bucket in enumerate(buckets):
+        while bucket:
+            v = bucket.pop()
+            if free_deg[v] < 0:
+                continue  # already peeled at a lower bucket
+            free_deg[v] = -1
+            free_level[v] = k
+            for u in free_adj[v]:
+                d = fixed_deg[u] - 1
+                fixed_deg[u] = d
+                if d != last:
                     continue
-                deg[free_side][w] -= 1
-                heapq.heappush(heap, (deg[free_side][w], w))
-    return level
+                fixed_level[u] = k
+                for w in fixed_adj[u]:
+                    d = free_deg[w] - 1
+                    free_deg[w] = d
+                    if d >= k:
+                        buckets[d].append(w)
+    return {fixed_side: fixed_level, free_side: free_level}
+
+
+def _sweeps(
+    graph: BipartiteGraph,
+) -> tuple[list[dict[Side, list[int]]], list[dict[Side, list[int]]]]:
+    """Every α-sweep and β-sweep up to δ; δ is their common length.
+
+    α-sweeps run ``α = 1, 2, …`` until the (α,α)-core is empty — some
+    vertex has level ≥ α in the α-sweep exactly when it is non-empty —
+    and stop one sweep early when the top level is α itself, since the
+    (α+1)-sweep's levels are at most the α-sweep's.  The β-sweeps then
+    cover ``β = 1..δ``.
+    """
+    alpha_sweeps: list[dict[Side, list[int]]] = []
+    alpha = 1
+    while True:
+        level = _peel_levels(graph, Side.UPPER, alpha)
+        top = max(level[Side.LOWER], default=0)
+        if top < alpha:
+            break
+        alpha_sweeps.append(level)
+        if top == alpha:
+            break
+        alpha += 1
+    beta_sweeps = [
+        _peel_levels(graph, Side.LOWER, beta)
+        for beta in range(1, len(alpha_sweeps) + 1)
+    ]
+    return alpha_sweeps, beta_sweeps
 
 
 def _invert_staircase(
@@ -128,8 +159,7 @@ def _vertex_stairs(
     ``beta_prefix[i]`` is the vertex's level in the α=i+1 sweep (max β)
     and ``alpha_prefix[i]`` its level in the β=i+1 sweep (max α).  The
     direct prefixes cover coordinates up to δ; the tails are recovered
-    by inverting the opposite sweep.  Shared by :func:`decompose` and
-    the incremental maintenance in :mod:`repro.corenum.incremental`.
+    by inverting the opposite sweep.
     """
     alpha_max = alpha_prefix[0] if alpha_prefix else 0
     beta_max = beta_prefix[0] if beta_prefix else 0
@@ -187,23 +217,32 @@ class BicoreDecomposition:
 
 def decompose(graph: BipartiteGraph) -> BicoreDecomposition:
     """Compute the full bicore decomposition of ``graph``."""
-    delta = max_delta(graph)
-    # alpha sweeps: for each α ≤ δ, max β per vertex.
-    alpha_sweeps = [
-        _peel_levels(graph, Side.UPPER, alpha) for alpha in range(1, delta + 1)
-    ]
-    # beta sweeps: for each β ≤ δ, max α per vertex.
-    beta_sweeps = [
-        _peel_levels(graph, Side.LOWER, beta) for beta in range(1, delta + 1)
-    ]
+    alpha_sweeps, beta_sweeps = _sweeps(graph)
+    return _decomposition_from_sweeps(
+        alpha_sweeps,
+        beta_sweeps,
+        {side: graph.num_vertices_on(side) for side in Side},
+    )
 
+
+def _decomposition_from_sweeps(
+    alpha_sweeps: list[dict[Side, list[int]]],
+    beta_sweeps: list[dict[Side, list[int]]],
+    sizes: dict[Side, int],
+) -> BicoreDecomposition:
+    """Every vertex's staircases from a sweep family (δ = its length).
+
+    ``alpha_sweeps[i]`` holds the α=i+1 levels (max β per vertex) and
+    ``beta_sweeps[i]`` the β=i+1 levels (max α); ``sizes`` gives the
+    layer sizes, which an empty family (δ = 0) cannot.
+    """
+    delta = len(alpha_sweeps)
     alpha_stairs: dict[Side, list[list[int]]] = {}
     beta_stairs: dict[Side, list[list[int]]] = {}
     for side in Side:
-        n = graph.num_vertices_on(side)
         side_alpha: list[list[int]] = []
         side_beta: list[list[int]] = []
-        for v in range(n):
+        for v in range(sizes[side]):
             beta_prefix = [sweep[side][v] for sweep in alpha_sweeps]
             alpha_prefix = [sweep[side][v] for sweep in beta_sweeps]
             full_alpha, full_beta = _vertex_stairs(

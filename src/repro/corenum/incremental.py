@@ -8,10 +8,14 @@ fixed coordinate ``a ≤ δ`` it stores the per-vertex level function
     ``ℓ(x) = max t such that x ∈ (a, t)-core``
 
 (the exact output of ``_peel_levels``) and repairs it locally when an
-edge is inserted or deleted, then refreshes staircases and
-:class:`~repro.corenum.bounds.CoreBounds` rows for exactly the vertices
-whose levels moved.  The repairs are **exact**, not approximate — they
-rest on the fixpoint characterization of ``ℓ``:
+edge is inserted or deleted, then rewrites the
+:class:`~repro.corenum.bounds.CoreBounds` rows of exactly the vertices
+whose levels moved, straight from their sweep columns through
+:func:`~repro.corenum.bounds.sweep_bound_rows` — the kernel
+:func:`~repro.corenum.bounds.compute_bounds` runs too.  No staircases
+are kept; :attr:`IncrementalCoreBounds.decomposition` assembles them
+from the sweeps on demand.  The repairs are **exact**, not
+approximate — they rest on the fixpoint characterization of ``ℓ``:
 
 - ``ℓ`` is the greatest fixpoint of the operator ``F`` where, for a
   free-side vertex, ``F(x)`` is the h-index of its neighbors' levels
@@ -35,8 +39,10 @@ rest on the fixpoint characterization of ``ℓ``:
 Every sweep repair falls back to a single fresh ``_peel_levels`` sweep
 when the cascade/region exceeds ``cascade_cap`` — never the full
 decomposition.  δ itself moves by at most one per update; a growth
-(gated on both endpoint degrees, probed with one ``alpha_beta_core``
-peel) appends two fresh sweeps, a shrink drops the top ones.
+appends two fresh sweeps, a shrink drops the top ones.  A new
+(δ+1,δ+1)-core must contain the inserted edge, so a growth is probed
+(one ``alpha_beta_core`` peel) only when both endpoints reach level
+δ+1 in the already-repaired α=δ sweep.
 """
 
 from __future__ import annotations
@@ -46,13 +52,19 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.corenum.bounds import CoreBounds, vertex_bound_rows
+from repro.corenum.bounds import (
+    CoreBounds,
+    _bounds_from_sweeps,
+    _level_rows,
+    sweep_bound_rows,
+)
 from repro.corenum.decomposition import (
     BicoreDecomposition,
+    _decomposition_from_sweeps,
     _peel_levels,
-    _vertex_stairs,
+    _sweeps,
 )
-from repro.corenum.peeling import alpha_beta_core, max_delta
+from repro.corenum.peeling import alpha_beta_core
 from repro.graph.bipartite import BipartiteGraph, Side
 
 __all__ = ["IncrementalCoreBounds", "UpdateRepairStats"]
@@ -84,10 +96,6 @@ class _AdjView:
     @property
     def num_lower(self) -> int:
         return len(self._adj[Side.LOWER])
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(ns) for ns in self._adj[Side.UPPER])
 
     def degrees(self, side: Side) -> list[int]:
         return [len(ns) for ns in self._adj[side]]
@@ -132,12 +140,12 @@ class UpdateRepairStats:
 class IncrementalCoreBounds:
     """Live :class:`CoreBounds` maintained under edge insert/delete.
 
-    The :attr:`bounds` (and :attr:`decomposition`) objects are mutated
-    **in place**, so every holder of the object — engines, serving
-    backends, shards sharing one bounds instance — observes repairs
-    without a reference swap.  Bound rows are replaced whole (one list
-    assignment per vertex), never edited element-wise, so a concurrent
-    reader sees either the old or the new row of a vertex.
+    The :attr:`bounds` object is mutated **in place**, so every holder
+    of the object — engines, serving backends, shards sharing one
+    bounds instance — observes repairs without a reference swap.  Bound
+    rows are replaced whole (one list assignment per vertex), never
+    edited element-wise, so a concurrent reader sees either the old or
+    the new row of a vertex.
 
     Parameters
     ----------
@@ -167,18 +175,12 @@ class IncrementalCoreBounds:
         }
         self._view = _AdjView(self._adj)
         self.cascade_cap = cascade_cap
-        self._delta = max_delta(graph)
-        self._alpha_sweeps = [
-            _peel_levels(graph, Side.UPPER, a)
-            for a in range(1, self._delta + 1)
-        ]
-        self._beta_sweeps = [
-            _peel_levels(graph, Side.LOWER, b)
-            for b in range(1, self._delta + 1)
-        ]
-        self._decomp = self._assemble_decomposition()
+        # δ is the length of both sweep lists.
+        self._alpha_sweeps, self._beta_sweeps = _sweeps(graph)
         if bounds is None:
-            bounds = self._fresh_bounds()
+            bounds = _bounds_from_sweeps(
+                self._alpha_sweeps, self._beta_sweeps, self._sizes()
+            )
         self._bounds = bounds
         # Aggregate counters (exposed via stats()).
         self.updates = 0
@@ -187,8 +189,8 @@ class IncrementalCoreBounds:
         self.sweep_fallbacks = 0
         self.delta_changes = 0
         self.last_repair: UpdateRepairStats | None = None
-        #: Pending stairs/bounds refreshes inside a defer_refresh()
-        #: block (None = eager refresh after every update).
+        #: Pending bound-row refreshes inside a defer_refresh() block
+        #: (None = eager refresh after every update).
         self._deferred_refresh: set[tuple[Side, int]] | None = None
 
     # ------------------------------------------------------------------
@@ -201,13 +203,20 @@ class IncrementalCoreBounds:
 
     @property
     def decomposition(self) -> BicoreDecomposition:
-        """The live (in-place maintained) decomposition."""
-        return self._decomp
+        """The current decomposition, assembled from the maintained sweeps.
+
+        Built on every access (nothing on the serving path reads it);
+        exact even inside a :meth:`defer_refresh` block, since the
+        sweeps are repaired eagerly.
+        """
+        return _decomposition_from_sweeps(
+            self._alpha_sweeps, self._beta_sweeps, self._sizes()
+        )
 
     @property
     def delta(self) -> int:
         """Current δ (max t with a non-empty (t,t)-core)."""
-        return self._delta
+        return len(self._alpha_sweeps)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` exists in the maintained graph."""
@@ -234,7 +243,7 @@ class IncrementalCoreBounds:
             "cascade_total": self.cascade_total,
             "sweep_fallbacks": self.sweep_fallbacks,
             "delta_changes": self.delta_changes,
-            "delta": self._delta,
+            "delta": self.delta,
             "cascade_cap": self.cascade_cap,
         }
 
@@ -242,7 +251,7 @@ class IncrementalCoreBounds:
     # Update surface
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> UpdateRepairStats:
-        """Insert edge ``(u, v)``; repairs levels, stairs and bounds.
+        """Insert edge ``(u, v)``; repairs sweep levels and bound rows.
 
         Unknown vertex ids extend the layers.  Inserting an existing
         edge is a free, counted no-op.
@@ -264,7 +273,7 @@ class IncrementalCoreBounds:
         return stats
 
     def delete_edge(self, u: int, v: int) -> UpdateRepairStats:
-        """Delete edge ``(u, v)``; repairs levels, stairs and bounds.
+        """Delete edge ``(u, v)``; repairs sweep levels and bound rows.
 
         Deleting a missing edge is a free, counted no-op.
         """
@@ -286,13 +295,13 @@ class IncrementalCoreBounds:
 
     @contextmanager
     def defer_refresh(self) -> Iterator[None]:
-        """Batch the stairs/bounds refresh across several updates.
+        """Batch the bound-row refresh across several updates.
 
         Inside the block, sweep levels are repaired eagerly (every
-        update sees exact levels) but the per-vertex staircase and
-        bound-row refresh is accumulated and executed once on exit —
-        a batch touching overlapping neighborhoods refreshes each
-        vertex once instead of once per update.  While the block is
+        update sees exact levels) but the per-vertex bound-row refresh
+        is accumulated and executed once on exit — a batch touching
+        overlapping neighborhoods refreshes each vertex once instead of
+        once per update.  While the block is
         open the :attr:`bounds` object is stale; callers must not
         publish it (e.g. swap a graph snapshot) until the block
         closes.  Not reentrant.
@@ -317,24 +326,29 @@ class IncrementalCoreBounds:
     def verify(self) -> None:
         """Assert the maintained state equals a from-scratch recompute.
 
-        Test hook: raises ``AssertionError`` on any divergence.
+        The expected rows take the staircase route —
+        ``compute_bounds(snapshot, decompose(snapshot))``, i.e.
+        :func:`~repro.corenum.bounds.vertex_bound_rows` over fresh
+        staircases — so a defect in the sweep-column kernel the
+        maintainer shares with plain ``compute_bounds`` cannot compare
+        equal to itself.  Test hook: raises ``AssertionError`` on any
+        divergence.
         """
         from repro.corenum.bounds import compute_bounds
         from repro.corenum.decomposition import decompose
 
         snapshot = self.snapshot()
         fresh_decomp = decompose(snapshot)
-        assert self._delta == fresh_decomp.delta, (
-            f"delta drifted: {self._delta} != {fresh_decomp.delta}"
+        assert self.delta == fresh_decomp.delta, (
+            f"delta drifted: {self.delta} != {fresh_decomp.delta}"
         )
+        mine = self.decomposition
         for side in Side:
             assert (
-                self._decomp.alpha_stairs[side]
-                == fresh_decomp.alpha_stairs[side]
+                mine.alpha_stairs[side] == fresh_decomp.alpha_stairs[side]
             ), f"alpha stairs drifted on {side}"
             assert (
-                self._decomp.beta_stairs[side]
-                == fresh_decomp.beta_stairs[side]
+                mine.beta_stairs[side] == fresh_decomp.beta_stairs[side]
             ), f"beta stairs drifted on {side}"
         fresh_bounds = compute_bounds(snapshot, fresh_decomp)
         for side in Side:
@@ -656,34 +670,40 @@ class IncrementalCoreBounds:
     def _maybe_grow_delta(
         self, stats: UpdateRepairStats, u: int, v: int
     ) -> None:
-        """δ grows by ≤ 1 per insert, and only through the new edge."""
-        d = self._delta + 1
+        """δ grows by ≤ 1 per insert, and only through the new edge.
+
+        A new (δ+1,δ+1)-core must contain both endpoints (without the
+        edge it would have existed before), and it lies inside the
+        (δ,δ+1)-core, so both endpoints must already sit at level ≥ δ+1
+        in the repaired α=δ sweep; only then is the full peel probed.
+        """
+        d = self.delta + 1
         if len(self._adj[Side.UPPER][u]) < d or len(self._adj[Side.LOWER][v]) < d:
             return
+        if self._alpha_sweeps:
+            top = self._alpha_sweeps[-1]
+            if top[Side.UPPER][u] < d or top[Side.LOWER][v] < d:
+                return
         upper, __ = alpha_beta_core(self._view, d, d)
         if not upper:
             return
         self._alpha_sweeps.append(_peel_levels(self._view, Side.UPPER, d))
         self._beta_sweeps.append(_peel_levels(self._view, Side.LOWER, d))
-        self._delta = d
         self._mark_delta_change(stats)
 
     def _maybe_shrink_delta(self, stats: UpdateRepairStats) -> None:
         """Drop the top sweeps when the (δ,δ)-core emptied."""
-        while self._delta > 0:
-            top = self._alpha_sweeps[-1]
-            if any(
-                lvl >= self._delta for lvl in top[Side.LOWER]
-            ):
+        while self._alpha_sweeps:
+            top = self._alpha_sweeps[-1][Side.LOWER]
+            if max(top, default=0) >= self.delta:
                 return
             self._alpha_sweeps.pop()
             self._beta_sweeps.pop()
-            self._delta -= 1
             self._mark_delta_change(stats)
 
     def _mark_delta_change(self, stats: UpdateRepairStats) -> None:
-        # The δ split point enters every staircase assembly, so every
-        # vertex's stairs (and bounds) must be refreshed.
+        # Every vertex's sweep columns gained or lost an entry, so every
+        # bound row is recomputed.
         stats.delta_changed = True
         self.delta_changes += 1
         for side in Side:
@@ -692,29 +712,29 @@ class IncrementalCoreBounds:
             )
 
     # ------------------------------------------------------------------
-    # Staircase / bounds refresh
+    # Bound-row refresh
     # ------------------------------------------------------------------
     def _refresh_vertices(
         self, changed: set[tuple[Side, int]]
     ) -> None:
-        """Reassemble stairs and bound rows for the changed vertices."""
-        delta = self._delta
-        self._decomp.delta = delta
-        alpha_sweeps = self._alpha_sweeps
-        beta_sweeps = self._beta_sweeps
+        """Rewrite the bound rows of the changed vertices from their columns.
+
+        Each row is replaced whole, so a concurrent reader sees either
+        the old or the new row of a vertex.
+        """
+        level_rows = {
+            side: _level_rows(self._alpha_sweeps, self._beta_sweeps, side)
+            for side in Side
+        }
+        bounds = self._bounds
         for side, x in changed:
-            beta_prefix = [sweep[side][x] for sweep in alpha_sweeps]
-            alpha_prefix = [sweep[side][x] for sweep in beta_sweeps]
-            full_alpha, full_beta = _vertex_stairs(
-                beta_prefix, alpha_prefix, delta
+            own_rows, other_rows = level_rows[side]
+            z_v, pref, suff = sweep_bound_rows(
+                [row[x] for row in own_rows], [row[x] for row in other_rows]
             )
-            self._decomp.alpha_stairs[side][x] = full_alpha
-            self._decomp.beta_stairs[side][x] = full_beta
-            own = full_beta if side is Side.UPPER else full_alpha
-            z_v, pref, suff = vertex_bound_rows(own)
-            self._bounds.z[side][x] = z_v
-            self._bounds.prefix[side][x] = pref
-            self._bounds.suffix[side][x] = suff
+            bounds.z[side][x] = z_v
+            bounds.prefix[side][x] = pref
+            bounds.suffix[side][x] = suff
 
     def _grow(self, side: Side, x: int) -> None:
         """Extend every per-vertex array for a new vertex id."""
@@ -724,8 +744,6 @@ class IncrementalCoreBounds:
                 sweep[side].append(0)
             for sweep in self._beta_sweeps:
                 sweep[side].append(0)
-            self._decomp.alpha_stairs[side].append([])
-            self._decomp.beta_stairs[side].append([])
             self._bounds.z[side].append(0)
             self._bounds.prefix[side].append([])
             self._bounds.suffix[side].append([])
@@ -736,45 +754,5 @@ class IncrementalCoreBounds:
         self.sweep_fallbacks += stats.sweep_fallbacks
         self.last_repair = stats
 
-    def _assemble_decomposition(self) -> BicoreDecomposition:
-        delta = self._delta
-        alpha_stairs: dict[Side, list[list[int]]] = {}
-        beta_stairs: dict[Side, list[list[int]]] = {}
-        for side in Side:
-            side_alpha: list[list[int]] = []
-            side_beta: list[list[int]] = []
-            for x in range(len(self._adj[side])):
-                beta_prefix = [s[side][x] for s in self._alpha_sweeps]
-                alpha_prefix = [s[side][x] for s in self._beta_sweeps]
-                full_alpha, full_beta = _vertex_stairs(
-                    beta_prefix, alpha_prefix, delta
-                )
-                side_alpha.append(full_alpha)
-                side_beta.append(full_beta)
-            alpha_stairs[side] = side_alpha
-            beta_stairs[side] = side_beta
-        return BicoreDecomposition(
-            delta=delta, alpha_stairs=alpha_stairs, beta_stairs=beta_stairs
-        )
-
-    def _fresh_bounds(self) -> CoreBounds:
-        own_stairs = {
-            Side.UPPER: self._decomp.beta_stairs[Side.UPPER],
-            Side.LOWER: self._decomp.alpha_stairs[Side.LOWER],
-        }
-        z: dict[Side, list[int]] = {}
-        prefix: dict[Side, list[list[int]]] = {}
-        suffix: dict[Side, list[list[int]]] = {}
-        for side in Side:
-            side_z: list[int] = []
-            side_prefix: list[list[int]] = []
-            side_suffix: list[list[int]] = []
-            for stairs in own_stairs[side]:
-                z_v, pref, suff = vertex_bound_rows(stairs)
-                side_z.append(z_v)
-                side_prefix.append(pref)
-                side_suffix.append(suff)
-            z[side] = side_z
-            prefix[side] = side_prefix
-            suffix[side] = side_suffix
-        return CoreBounds(z=z, prefix=prefix, suffix=suffix)
+    def _sizes(self) -> dict[Side, int]:
+        return {side: len(self._adj[side]) for side in Side}

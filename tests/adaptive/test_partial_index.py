@@ -183,6 +183,29 @@ def test_invalidate_edge_ignores_out_of_range(paper_graph):
     assert partial.invalidate_edge(paper_graph, 10_000, 10_000) == []
 
 
+def test_put_drops_tree_built_before_an_eviction(paper_graph):
+    partial = PartialIndex(budget_bytes=1 << 20)
+    tree, bicliques = tree_for(paper_graph, Side.UPPER, 0)
+    for invalidate in (
+        lambda: partial.evict(Side.UPPER, 0),  # bumps even when absent
+        lambda: partial.invalidate_edge(paper_graph, 0, 0),
+        partial.clear,
+    ):
+        generation = partial.generation
+        invalidate()
+        inserted, evicted = partial.put(
+            Side.UPPER, 0, tree, bicliques, generation=generation
+        )
+        assert (inserted, evicted) == (False, [])
+        assert (Side.UPPER, 0) not in partial
+    assert partial.stale_puts_total == 3
+    assert partial.stats()["stale_puts"] == 3
+    inserted, __ = partial.put(
+        Side.UPPER, 0, tree, bicliques, generation=partial.generation
+    )
+    assert inserted and (Side.UPPER, 0) in partial
+
+
 # ----------------------------------------------------------------------
 # persistence round-trip
 

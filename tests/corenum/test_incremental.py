@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from repro.corenum import incremental
 from repro.corenum.bounds import compute_bounds
 from repro.corenum.incremental import IncrementalCoreBounds
-from repro.graph.bipartite import Side
+from repro.corenum.peeling import max_delta
+from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.generators import power_law_bipartite, random_bipartite
 
 
@@ -133,3 +135,40 @@ def test_growth_extends_layers():
     assert snap.num_upper == graph.num_upper + 2
     assert snap.num_lower == graph.num_lower + 3
     inc.verify()
+
+
+def test_delta_growth_gate_never_blocks_a_growth(monkeypatch):
+    """δ stays exact through random insert sequences while the level gate
+    skips most of the full-graph (δ+1, δ+1)-core probes."""
+    probes = []
+    real_core = incremental.alpha_beta_core
+
+    def counting_core(graph, alpha, beta):
+        probes.append((alpha, beta))
+        return real_core(graph, alpha, beta)
+
+    monkeypatch.setattr(incremental, "alpha_beta_core", counting_core)
+    growths = 0
+    degree_qualified = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        num_upper, num_lower = 9 + seed % 4, 8 + seed % 3
+        inc = IncrementalCoreBounds(
+            BipartiteGraph([[] for __ in range(num_upper)], num_lower=num_lower)
+        )
+        edges = [(u, v) for u in range(num_upper) for v in range(num_lower)]
+        rng.shuffle(edges)
+        for u, v in edges[: len(edges) * 3 // 4]:
+            grown = inc.delta + 1
+            inc.insert_edge(u, v)
+            snapshot = inc.snapshot()
+            if (
+                snapshot.degree(Side.UPPER, u) >= grown
+                and snapshot.degree(Side.LOWER, v) >= grown
+            ):
+                degree_qualified += 1
+            assert inc.delta == max_delta(snapshot)
+            growths += inc.delta == grown
+        inc.verify()
+    assert growths > 0
+    assert growths <= len(probes) < degree_qualified

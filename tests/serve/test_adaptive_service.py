@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core.construction_star import build_index_star
-from repro.graph.bipartite import Side
+from repro.core.online import pmbc_online
+from repro.exec.executor import create_executor
+from repro.graph.bipartite import BipartiteGraph, Side
 from repro.serve.service import PMBCService, ServiceConfig
 
 
@@ -171,6 +174,92 @@ def test_invalidate_edge_drops_then_rebuilds(paper_graph):
 def test_invalidate_edge_noop_without_adaptive(paper_graph):
     with PMBCService(paper_graph) as service:
         assert service.invalidate_edge(0, 0) == []
+
+
+# ----------------------------------------------------------------------
+# a build that races an update
+
+
+class _HeldBuild:
+    """Build substrate frozen on the pre-update graph.
+
+    The first ``build_tree`` runs, then blocks until :attr:`release` is
+    set: a background build that started before an update and finishes
+    after the update's eviction.  Later builds fail, so no other tree
+    can become resident meanwhile.
+    """
+
+    def __init__(self, graph):
+        self._inner = create_executor("thread", graph, num_workers=1)
+        self.built = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+
+    def run(self, task, item):
+        self.calls += 1
+        if self.calls > 1:
+            raise RuntimeError("only the held build runs")
+        result = self._inner.run(task, item)
+        self.built.set()
+        self.release.wait(10.0)
+        return result
+
+    def close(self):
+        self._inner.close()
+
+
+def _edges_of(biclique):
+    return biclique.num_edges if biclique is not None else 0
+
+
+def _answer_changing_delete(graph, tau):
+    """An upper vertex ``q``, a neighbor ``w`` and the graph rebuilt
+    without edge ``(q, w)``, such that the deletion changes q's answer."""
+    for q in range(graph.num_upper):
+        before = pmbc_online(graph, Side.UPPER, q, tau, tau)
+        if before is None:
+            continue
+        for w in sorted(before.lower):
+            adj = [
+                list(graph.neighbors(Side.UPPER, u))
+                for u in range(graph.num_upper)
+            ]
+            adj[q].remove(w)
+            rebuilt = BipartiteGraph(adj, num_lower=graph.num_lower)
+            after = pmbc_online(rebuilt, Side.UPPER, q, tau, tau)
+            if _edges_of(after) != before.num_edges:
+                return q, w, rebuilt
+    raise AssertionError("no answer-changing deletion in this graph")
+
+
+def test_build_that_raced_an_update_is_not_served(medium_planted_graph):
+    tau = 2
+    q, w, rebuilt = _answer_changing_delete(medium_planted_graph, tau)
+    held = _HeldBuild(medium_planted_graph)
+    try:
+        config = adaptive_config(hot_threshold=2.0)
+        with PMBCService(medium_planted_graph, config=config) as service:
+            service.builder.update_graph(service.graph, executor=held)
+            for __ in range(3):
+                service.query(Side.UPPER, q, tau, tau)
+            assert held.built.wait(10.0), "the hot vertex was never built"
+            # The pre-update tree is built but not yet stored; q is in
+            # the affected set of its own edge (q, w).
+            service.update_batch([("delete", q, w)])
+            held.release.set()
+            deadline = time.monotonic() + 10.0
+            while service.builder.builds_total == 0:
+                assert time.monotonic() < deadline, "held build never landed"
+                time.sleep(0.01)
+            assert (Side.UPPER, q) not in service.partial_index
+            assert service.partial_index.stale_puts_total == 1
+            result = service.query(Side.UPPER, q, tau, tau)
+            assert result.backend != "partial"
+            expected = pmbc_online(rebuilt, Side.UPPER, q, tau, tau)
+            assert _edges_of(result.biclique) == _edges_of(expected)
+    finally:
+        held.release.set()
+        held.close()
 
 
 # ----------------------------------------------------------------------
