@@ -35,7 +35,8 @@ and vice versa.
 interleaved Zipf queries) applied once through the streaming
 maintenance path (:meth:`PMBCService.update_batch`: in-place
 (α,β)-core bound repair, packed-adjacency patching, scoped
-invalidation) and once as a per-batch full rebuild.  Interleaved
+invalidation) and once as a per-batch full rebuild.  Both paths time
+their interleaved queries at the engine layer.  Interleaved
 answers are asserted equal, the final bounds and packed adjacency are
 asserted identical to a from-scratch build (differential failures are
 hard in every mode), and the steady-state segment must trigger zero
@@ -641,9 +642,13 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
       answers the interleaved queries;
     - **rebuild** — the pre-streaming baseline: each batch re-creates
       the :class:`BipartiteGraph` and recomputes the (α,β)-core
-      bounds from scratch, then answers queries online.
+      bounds from scratch, then answers queries from a fresh
+      :class:`PMBCQueryEngine` over the rebuilt graph and bounds.
 
-    Both paths see identical batch boundaries; the headline metric is
+    Both paths see identical batch boundaries and time their queries
+    at the same layer — the engine (``service.engine.query`` on the
+    incremental side), so neither side's query latency includes the
+    service's admission, queue or worker hop.  The headline metric is
     maintenance throughput (updates/s, query time excluded).  Every
     interleaved query is asserted equal across the two paths, and the
     run ends with a differential identity check: the incrementally
@@ -655,6 +660,7 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
     trigger zero re-packs.
     """
     from repro.bench.workloads import temporal_replay
+    from repro.core.engine import PMBCQueryEngine
     from repro.graph.bipartite import BipartiteGraph, Side
     from repro.kernel.dynadj import DynamicPackedAdjacency
     from repro.serve.service import PMBCService, ServiceConfig
@@ -716,11 +722,12 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
                     repacks_at_warmup = service._dynadj.repack_count
             else:
                 side, vertex = payload
+                request = QueryRequest(side, vertex, UPDATE_TAU, UPDATE_TAU)
                 t0 = perf_counter()
-                result = service.query(side, vertex, UPDATE_TAU, UPDATE_TAU)
+                result = service.engine.query(request)
                 inc_query_ms.append((perf_counter() - t0) * 1e3)
                 inc_answers.append(
-                    result.biclique.num_edges if result.biclique else 0
+                    result.num_edges if result is not None else 0
                 )
         stats = service.stats()
         final_graph = service.graph
@@ -740,6 +747,7 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
     ]
     reb_graph = graph
     reb_bounds = compute_bounds(graph)
+    reb_engine = PMBCQueryEngine(reb_graph, bounds=reb_bounds)
     reb_answers: list[int] = []
     reb_update_seconds = 0.0
     reb_query_ms: list[float] = []
@@ -756,13 +764,12 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
             )
             reb_bounds = compute_bounds(reb_graph)
             reb_update_seconds += perf_counter() - t0
+            reb_engine = PMBCQueryEngine(reb_graph, bounds=reb_bounds)
         else:
             side, vertex = payload
+            request = QueryRequest(side, vertex, UPDATE_TAU, UPDATE_TAU)
             t0 = perf_counter()
-            result = pmbc_online(
-                reb_graph, side, vertex, UPDATE_TAU, UPDATE_TAU,
-                bounds=reb_bounds,
-            )
+            result = reb_engine.query(request)
             reb_query_ms.append((perf_counter() - t0) * 1e3)
             reb_answers.append(result.num_edges if result is not None else 0)
 

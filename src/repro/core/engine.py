@@ -3,8 +3,11 @@
 Sits between the two extremes the paper evaluates: cheaper than
 building the full PMBC-Index, faster than cold PMBC-OL* for workloads
 that revisit vertices.  The engine precomputes the (α,β)-core bounds
-once (the offline part of Algorithm 5) and memoizes two-hop subgraphs
-and fully-unconstrained answers per vertex.
+once (the offline part of Algorithm 5) and caches only two-hop
+subgraphs, per vertex in a bounded LRU; answers are never cached.  The
+per-extraction greedy-seed and reduction memos of
+:mod:`repro.kernel.batch` live on those cached subgraphs, so requests
+that revisit a vertex (or share it within a batch) reuse them.
 """
 
 from __future__ import annotations

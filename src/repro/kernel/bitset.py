@@ -146,20 +146,22 @@ def bitset_search(
                 x_current.append(v_star)
                 continue
 
-            dominated = False
+            # X feeds only the non-maximality rule; without that rule
+            # every child gets an empty X.
             x_new: list[int] = []
-            for v in x_current:
-                overlap = (p_new & adj_lower[v]).bit_count()
-                if overlap == p_size:
-                    dominated = True
-                    if prune_non_maximal:
+            if prune_non_maximal:
+                dominated = False
+                for v in x_current:
+                    overlap = (p_new & adj_lower[v]).bit_count()
+                    if overlap == p_size:
+                        dominated = True
                         break
-                if overlap >= tau_p:
-                    x_new.append(v)
-            if prune_non_maximal and dominated:
-                prune_dominated += 1
-                x_current.append(v_star)
-                continue
+                    if overlap >= tau_p:
+                        x_new.append(v)
+                if dominated:
+                    prune_dominated += 1
+                    x_current.append(v_star)
+                    continue
 
             max_possible_p = p_size if max_p is None else min(p_size, max_p)
             max_possible_w = w_new_count + len(r_new)

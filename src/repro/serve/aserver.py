@@ -8,9 +8,11 @@ request is **admitted** to the service without blocking
 (:meth:`~repro.serve.service.PMBCService.admit` /
 :meth:`~repro.serve.service.ShardedService.admit`), its future is
 awaited as an asyncio future, and the connection costs no thread
-while the worker pool computes.  Thousands of idle keep-alive
-connections are then just loop-registered sockets — the shape the
-sharded router (:mod:`repro.shard`) needs in front of N shards.
+while the worker pool computes.  A lookup-tier hit comes back from
+admission already settled and is answered without any await.
+Thousands of idle keep-alive connections are then just
+loop-registered sockets — the shape the sharded router
+(:mod:`repro.shard`) needs in front of N shards.
 
 Deadline semantics match the blocking path exactly: when the await
 times out, the front-end runs the service's settle race
@@ -389,12 +391,16 @@ class AsyncPMBCServer:
     async def _settle(self, submission: Submission):
         """Await a submission, running the expiry race on timeout.
 
-        The concurrent future is shielded from ``wait_for``'s
-        cancellation — cancelling it would leave the request
-        unsettleable by both the worker and :meth:`Submission.expire`.
-        After ``expire()`` the future is terminal either way, so the
-        final await returns the worker's answer or raises the 504.
+        A lookup-tier answer is settled during admission; its result is
+        returned as is, with no bridge to the loop.  Otherwise the
+        concurrent future is shielded from ``wait_for``'s cancellation —
+        cancelling it would leave the request unsettleable by both the
+        worker and :meth:`Submission.expire`.  After ``expire()`` the
+        future is terminal either way, so the final await returns the
+        worker's answer or raises the 504.
         """
+        if submission.future.done():
+            return submission.future.result()
         wrapped = asyncio.wrap_future(submission.future)
         if submission.budget is None:
             return await wrapped

@@ -6,18 +6,23 @@
 :func:`~repro.core.online.pmbc_online_star`) into a shared service
 suitable for heavy concurrent traffic:
 
-- a **bounded request queue** with admission control — when the queue
-  is full new requests are rejected immediately
-  (:class:`QueueFullError`, the HTTP front-end maps it to 429) instead
-  of building an unbounded backlog;
-- a **worker pool** draining the queue, so one shared engine (and its
-  two-hop LRU) serves every caller;
+- **answers at admission** from the lookup tiers (adaptive partial
+  index, mounted index): they read a resident tree in O(deg(q)+|C|)
+  (PMBC-IQ), so admission walks them on the caller's thread and a hit
+  is settled before :meth:`PMBCService.admit` returns — no queue slot,
+  no worker hop;
+- a **bounded request queue** with admission control for everything
+  the lookup tiers miss — when the queue is full new searches are
+  rejected immediately (:class:`QueueFullError`, the HTTP front-end
+  maps it to 429) instead of building an unbounded backlog;
+- a **worker pool** draining the queue through the search tiers, so
+  one shared engine (and its two-hop LRU) serves every caller;
 - **per-request deadlines** with cooperative timeout: expired requests
   are dropped at dequeue time without touching the backend, and
   waiting callers get :class:`DeadlineExceededError` as soon as their
   budget runs out even if a worker is still computing;
 - **single-flight deduplication** of identical concurrent
-  ``(side, vertex, tau_u, tau_l, objective)`` requests (see
+  ``(side, vertex, tau_u, tau_l, objective)`` searches (see
   :mod:`repro.serve.singleflight`);
 - **pluggable execution** (see :mod:`repro.exec`): the CPU-bound
   branch-and-bound runs either in the worker threads themselves
@@ -31,8 +36,8 @@ suitable for heavy concurrent traffic:
 - **graceful degradation** across backends: adaptive partial index
   (when enabled) → index → execution backend → caching engine → plain
   online search, falling through on unexpected backend failure; a
-  partial-index *miss* (vertex not resident) falls through cleanly
-  without counting as a failure;
+  lookup-tier *miss* (vertex not resident, or an objective the index
+  cannot answer) falls through cleanly without counting as a failure;
 - an optional **traffic-adaptive partial index**
   (``ServiceConfig(adaptive=True)``, see :mod:`repro.adaptive`):
   admission feeds a decayed hot-set tracker, a background builder
@@ -277,7 +282,7 @@ class QueryResult:
     biclique: Biclique | None
     backend: str
     shared: bool            # single-flight collapsed this request
-    queue_seconds: float    # admission -> worker pickup
+    queue_seconds: float    # admission -> worker pickup; 0 for tier lookups
     total_seconds: float    # admission -> answer
     trace: dict | None = None   # search trace summary (explain requests)
     shard: int | None = None    # answering shard (sharded deployments)
@@ -290,7 +295,7 @@ class BatchResult:
 
     bicliques: tuple[Biclique | None, ...]
     backend: str
-    queue_seconds: float    # admission -> worker pickup
+    queue_seconds: float    # admission -> worker pickup; 0 for tier lookups
     total_seconds: float    # admission -> answer
     trace: dict | None = None   # search trace summary (explain requests)
     shard: int | None = None    # answering shard (single-shard batches)
@@ -323,12 +328,33 @@ class _Request:
     explain: bool = False
     future: Future = field(default_factory=Future)
 
+    #: Requests one answer stands for (the adaptive hit/miss weight).
+    size = 1
+
     @property
     def key(self) -> tuple[Side, int, int, int, str]:
         return self.request.key
 
     def remaining(self, now: float) -> float | None:
         return None if self.deadline is None else self.deadline - now
+
+    def new_trace(self) -> SearchTrace:
+        request = self.request
+        trace = SearchTrace(trace_id=request.trace_id)
+        trace.annotate(
+            kind="query",
+            query={
+                "side": request.side.value,
+                "vertex": request.vertex,
+                "tau_u": request.tau_u,
+                "tau_l": request.tau_l,
+                "objective": request.objective,
+            },
+        )
+        return trace
+
+    def ask(self, backend) -> Biclique | None:
+        return backend.query(self.request)
 
 
 @dataclass
@@ -339,8 +365,44 @@ class _BatchRequest:
     explain: bool = False
     future: Future = field(default_factory=Future)
 
+    @property
+    def size(self) -> int:
+        return len(self.requests)
+
     def remaining(self, now: float) -> float | None:
         return None if self.deadline is None else self.deadline - now
+
+    def new_trace(self) -> SearchTrace:
+        # One trace covers the whole batch; its counters are totals.
+        requests = self.requests
+        trace = SearchTrace(
+            trace_id=next(
+                (r.trace_id for r in requests if r.trace_id), None
+            )
+        )
+        objectives = {r.objective for r in requests}
+        trace.annotate(
+            kind="batch",
+            batch_size=len(requests),
+            objective=objectives.pop() if len(objectives) == 1 else "mixed",
+        )
+        return trace
+
+    def ask(self, backend):
+        batch_fn = getattr(backend, "query_batch", None)
+        if batch_fn is not None:
+            return list(batch_fn(self.requests))
+        # Lookup tiers (and test doubles) have no batch plan; a lookup
+        # touches no two-hop subgraph, so a plain loop is optimal.  A
+        # batch is answered all-or-nothing: one miss sends the whole
+        # batch on, so it stays a single backend walk.
+        answers = []
+        for request in self.requests:
+            answer = backend.query(request)
+            if answer is MISS:
+                return MISS
+            answers.append(answer)
+        return answers
 
 
 @dataclass
@@ -402,18 +464,6 @@ class _PartialBackend:
             request.side, request.vertex, request.tau_u, request.tau_l
         )
 
-    def query_batch(self, requests):
-        # All-or-MISS: a batch is answered here only when every request
-        # hits a resident tree; otherwise the whole batch falls through
-        # so it stays a single backend walk.
-        answers = []
-        for r in requests:
-            answer = self.query(r)
-            if answer is MISS:
-                return MISS
-            answers.append(answer)
-        return answers
-
 
 class _IndexBackend:
     """PMBC-IQ over a prebuilt index: the O(deg(q)+|C|) fast path.
@@ -432,18 +482,6 @@ class _IndexBackend:
         if not get_objective(request.objective).index_compatible:
             return MISS
         return pmbc_index_query(self._index, request)
-
-    def query_batch(self, requests):
-        # Index lookups touch no two-hop subgraphs; a plain loop is
-        # already the optimal batch plan.  All-or-MISS on objective so
-        # mixed batches stay a single backend walk downstream.
-        answers = []
-        for r in requests:
-            answer = self.query(r)
-            if answer is MISS:
-                return MISS
-            answers.append(answer)
-        return answers
 
 
 class _ExecBackend:
@@ -529,6 +567,23 @@ class _OnlineBackend:
             use_core_bounds=self._bounds is not None,
             kernel=self._kernel,
         )
+
+
+#: Backends that answer by reading a resident tree (PMBC-IQ,
+#: O(deg(q)+|C|)) rather than by searching.  Admission walks the
+#: leading run of them on the caller's thread; a request they all miss
+#: is queued, and its worker walk starts at the first search tier.
+_LOOKUP_TIERS = (_PartialBackend, _IndexBackend)
+
+
+def _lookup_prefix(backends) -> int:
+    """How many leading ``backends`` are lookup tiers."""
+    count = 0
+    for backend in backends:
+        if not isinstance(backend, _LOOKUP_TIERS):
+            break
+        count += 1
+    return count
 
 
 class PMBCService:
@@ -821,7 +876,7 @@ class PMBCService:
         }
         self._queue_wait = m.histogram(
             "pmbc_queue_wait_seconds",
-            "Time between admission and worker pickup.",
+            "Time between admission and worker pickup (queued requests).",
         )
         self._backend_queries = m.counter(
             "pmbc_backend_queries_total", "Backend invocations by backend."
@@ -999,9 +1054,12 @@ class PMBCService:
         Accepts either raw ``(side, vertex, tau_u, tau_l)`` arguments
         or a single :class:`~repro.core.query.QueryRequest`.  Raises
         immediately on invalid input, a full queue, or a closed
-        service — admission failures never consume a queue slot.  With
-        ``explain=True`` the result carries the computation's trace
-        summary in :attr:`QueryResult.trace`.
+        service — admission failures never consume a queue slot.  A
+        request a lookup tier (partial or mounted index) answers is
+        settled during admission, so its Future is already done and a
+        full queue cannot refuse it.  With ``explain=True`` the result
+        carries the computation's trace summary in
+        :attr:`QueryResult.trace`.
         """
         return self._admit(
             side, vertex, tau_u, tau_l, deadline, explain
@@ -1103,22 +1161,16 @@ class PMBCService:
             enqueued_at=now,
             explain=explain,
         )
-        self._inflight.inc()
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._finish("queue_full")
-            raise QueueFullError(
-                f"request queue full ({self.config.max_queue} waiting)"
-            ) from None
+        self._enter(request)
         self._requests_by_objective.inc(objective=query_request.objective)
         if self.hot_set is not None and get_objective(
             query_request.objective
         ).index_compatible:
-            # Record at admission (after the queue accepted the
-            # request) so single-flight followers still count toward
-            # the traffic signal.  Objectives the partial tier cannot
-            # answer never feed it, so they cannot evict useful trees.
+            # Record at admission (once the request is answered or
+            # queued) so lookup-tier hits and single-flight followers
+            # still count toward the traffic signal.  Objectives the
+            # partial tier cannot answer never feed it, so they cannot
+            # evict useful trees.
             self.hot_set.record(query_request.side, query_request.vertex)
         return request
 
@@ -1164,10 +1216,11 @@ class PMBCService:
         ``requests`` is a sequence of
         :class:`~repro.core.query.QueryRequest` (or anything
         ``QueryRequest.of`` accepts: dicts, tuples).  The batch
-        occupies a **single** queue slot and is answered by a single
-        backend walk; within the batch, requests are grouped by query
-        vertex so each distinct vertex's two-hop subgraph is extracted
-        at most once (see
+        occupies a **single** queue slot (none when a lookup tier holds
+        every request: it is then answered at admission) and is
+        answered by a single backend walk; within the batch, requests
+        are grouped by query vertex so each distinct vertex's two-hop
+        subgraph is extracted at most once (see
         :meth:`~repro.core.engine.PMBCQueryEngine.query_batch`).  The
         deadline covers the whole batch.  Single-flight dedup does not
         apply — vertex grouping already collapses duplicates inside
@@ -1221,14 +1274,7 @@ class PMBCService:
             explain=explain,
         )
         self._batch_size.observe(len(coerced))
-        self._inflight.inc()
-        try:
-            self._queue.put_nowait(batch)
-        except queue.Full:
-            self._finish("queue_full")
-            raise QueueFullError(
-                f"request queue full ({self.config.max_queue} waiting)"
-            ) from None
+        self._enter(batch)
         for request in coerced:
             self._requests_by_objective.inc(objective=request.objective)
         if self.hot_set is not None:
@@ -1237,241 +1283,211 @@ class PMBCService:
                     self.hot_set.record(request.side, request.vertex)
         return batch
 
+    def _enter(self, job: _Request | _BatchRequest) -> None:
+        """Answer ``job`` from the lookup tiers, or queue it for a worker.
+
+        The leading lookup tiers read resident trees, so they are walked
+        right here on the caller's thread: a hit is settled before
+        admission returns, with ``queue_seconds == 0``, outside the
+        queue-wait histogram and single-flight, and without taking a
+        queue slot.  Only a request they all miss is queued, which is
+        where :class:`QueueFullError` comes from.
+        """
+        self._inflight.inc()
+        backends = self._backends
+        lookups = _lookup_prefix(backends)
+        if lookups:
+            answer, backend_name, summary = self._walk(
+                job, backends, 0, lookups
+            )
+            if answer is not MISS:
+                self._deliver(job, answer, backend_name, summary, 0.0)
+                return
+        try:
+            self._queue.put_nowait(job)
+        except queue.Full:
+            self._finish("queue_full")
+            raise QueueFullError(
+                f"request queue full ({self.config.max_queue} waiting)"
+            ) from None
+
     # ------------------------------------------------------------------
     # worker side
 
     def _worker_loop(self) -> None:
         while True:
-            request = self._queue.get()
-            if request is None:  # poison pill
+            job = self._queue.get()
+            if job is None:  # poison pill
                 return
-            if isinstance(request, _BatchRequest):
-                self._serve_batch(request)
-            else:
-                self._serve_one(request)
+            self._serve(job)
 
-    def _serve_one(self, request: _Request) -> None:
-        if request.future.done():
+    def _serve(self, job: _Request | _BatchRequest) -> None:
+        if job.future.done():
             # The caller's deadline fired while the request was queued;
             # terminal accounting already happened on that side.
             return
         now = time.monotonic()
-        queue_seconds = now - request.enqueued_at
+        queue_seconds = now - job.enqueued_at
         self._queue_wait.observe(queue_seconds)
-        remaining = request.remaining(now)
+        remaining = job.remaining(now)
         if remaining is not None and remaining <= 0:
             self._settle(
-                request,
+                job,
                 "deadline_exceeded",
                 error=DeadlineExceededError("deadline expired in queue"),
             )
             return
-        try:
-            flight = self._flight.do(
-                request.key,
-                lambda: self._query_backends(request),
-                timeout=remaining,
+        # Admission already walked the lookup tiers: start at the first
+        # search tier.
+        backends = self._backends
+        start = _lookup_prefix(backends)
+
+        def search():
+            answer, backend_name, detail = self._walk(
+                job, backends, start, len(backends)
             )
+            if answer is MISS:
+                raise BackendError(
+                    f"all {len(backends)} backends failed (last: {detail!r})"
+                )
+            return answer, backend_name, detail
+
+        shared = False
+        try:
+            if isinstance(job, _BatchRequest):
+                # Vertex grouping already collapses duplicates inside a
+                # batch, so batches skip single-flight.
+                outcome = search()
+            else:
+                flight = self._flight.do(job.key, search, timeout=remaining)
+                if flight.leader:
+                    self._sf_leaders.inc()
+                if flight.shared:
+                    self._sf_shared.inc()
+                shared = flight.shared and not flight.leader
+                outcome = flight.value
         except SingleFlightTimeout:
             self._settle(
-                request,
+                job,
                 "deadline_exceeded",
                 error=DeadlineExceededError("deadline expired awaiting flight"),
             )
             return
         except ServeError as exc:
-            self._settle(request, "error", error=exc)
+            self._settle(job, "error", error=exc)
             return
         except Exception as exc:  # defensive: never kill a worker
-            self._settle(request, "error", error=BackendError(str(exc)))
+            self._settle(job, "error", error=BackendError(str(exc)))
             return
-        if flight.leader:
-            self._sf_leaders.inc()
-        if flight.shared:
-            self._sf_shared.inc()
-        biclique, backend_name, summary = flight.value
-        total = time.monotonic() - request.enqueued_at
-        result = QueryResult(
-            biclique=biclique,
-            backend=backend_name,
-            shared=flight.shared and not flight.leader,
-            queue_seconds=queue_seconds,
-            total_seconds=total,
-            trace=summary if request.explain else None,
-        )
-        if self._settle(
-            request, "ok" if biclique is not None else "empty", result=result
-        ):
-            self._latency.observe(total)
-            hist = self._latency_by_objective.get(request.request.objective)
-            if hist is not None:
-                hist.observe(total)
+        self._deliver(job, *outcome, queue_seconds, shared)
 
-    def _serve_batch(self, batch: _BatchRequest) -> None:
-        if batch.future.done():
-            return
-        now = time.monotonic()
-        queue_seconds = now - batch.enqueued_at
-        self._queue_wait.observe(queue_seconds)
-        remaining = batch.remaining(now)
-        if remaining is not None and remaining <= 0:
-            self._settle(
-                batch,
-                "deadline_exceeded",
-                error=DeadlineExceededError("deadline expired in queue"),
+    def _deliver(
+        self,
+        job: _Request | _BatchRequest,
+        answer,
+        backend_name: str,
+        summary: dict,
+        queue_seconds: float,
+        shared: bool = False,
+    ) -> None:
+        """Settle ``job`` with its answer and record its latency."""
+        total = time.monotonic() - job.enqueued_at
+        trace = summary if job.explain else None
+        if isinstance(job, _BatchRequest):
+            result = BatchResult(
+                bicliques=tuple(answer),
+                backend=backend_name,
+                queue_seconds=queue_seconds,
+                total_seconds=total,
+                trace=trace,
             )
-            return
-        try:
-            answers, backend_name, summary = self._query_backends_batch(
-                batch.requests
+            status = "ok" if any(a is not None for a in answer) else "empty"
+            objectives = {r.objective for r in job.requests}
+        else:
+            result = QueryResult(
+                biclique=answer,
+                backend=backend_name,
+                shared=shared,
+                queue_seconds=queue_seconds,
+                total_seconds=total,
+                trace=trace,
             )
-        except ServeError as exc:
-            self._settle(batch, "error", error=exc)
-            return
-        except Exception as exc:  # defensive: never kill a worker
-            self._settle(batch, "error", error=BackendError(str(exc)))
-            return
-        total = time.monotonic() - batch.enqueued_at
-        result = BatchResult(
-            bicliques=tuple(answers),
-            backend=backend_name,
-            queue_seconds=queue_seconds,
-            total_seconds=total,
-            trace=summary if batch.explain else None,
-        )
-        status = "ok" if any(a is not None for a in answers) else "empty"
-        if self._settle(batch, status, result=result):
+            status = "ok" if answer is not None else "empty"
+            objectives = (job.request.objective,)
+        if self._settle(job, status, result=result):
             self._latency.observe(total)
-            for name in {r.objective for r in batch.requests}:
+            for name in objectives:
                 hist = self._latency_by_objective.get(name)
                 if hist is not None:
                     hist.observe(total)
 
-    def _query_backends(
-        self, request: _Request
-    ) -> tuple[Biclique | None, str, dict]:
-        """Walk the degradation chain under a fresh trace.
+    def _walk(
+        self,
+        job: _Request | _BatchRequest,
+        backends: list,
+        start: int,
+        stop: int,
+    ) -> tuple:
+        """Walk ``backends[start:stop]`` of the degradation chain.
 
-        Every computation (not only explain requests) is traced: the
-        summary feeds the trace ring and the aggregated search metrics,
-        and single-flight followers reuse it.  Returns ``(answer,
-        backend name, trace summary)``.
+        Admission walks the lookup tiers with it and a worker the
+        search tiers.  The walk runs under a fresh trace: every
+        computation (not only explain requests) is traced, the summary
+        feeds the trace ring and the aggregated search metrics, and
+        single-flight followers reuse it.  Returns ``(answer, backend
+        name, trace summary)`` from the first backend that answers, or
+        ``(MISS, None, last error)`` when every backend in the range
+        declined or failed.
         """
-        query_request = request.request
-        trace = SearchTrace(trace_id=query_request.trace_id)
-        trace.annotate(
-            kind="query",
-            query={
-                "side": query_request.side.value,
-                "vertex": query_request.vertex,
-                "tau_u": query_request.tau_u,
-                "tau_l": query_request.tau_l,
-                "objective": query_request.objective,
-            },
-        )
+        trace = job.new_trace()
         last_error: Exception | None = None
-        for position, backend in enumerate(self._backends):
+        for position in range(start, stop):
+            backend = backends[position]
             self._backend_queries.inc(backend=backend.name)
             try:
                 with use_trace(trace):
-                    answer = backend.query(query_request)
+                    answer = job.ask(backend)
             except Exception as exc:
                 last_error = exc
-                nxt = self._backends[position + 1].name \
-                    if position + 1 < len(self._backends) else "none"
+                nxt = backends[position + 1].name \
+                    if position + 1 < len(backends) else "none"
                 self._fallbacks.inc(**{"from": backend.name, "to": nxt})
                 continue
+            partial = (
+                backend.name == "partial" and self._adaptive_hits is not None
+            )
             if answer is MISS:
                 # No resident tree (or an objective the tier cannot
                 # answer): a clean fall-through, not a degradation —
                 # the fallback counter stays untouched.  Only the
                 # partial tier's misses feed the adaptive counters.
-                if (
-                    backend.name == "partial"
-                    and self._adaptive_misses is not None
-                ):
-                    self._adaptive_misses.inc()
+                if partial:
+                    self._adaptive_misses.inc(job.size)
                 continue
-            if backend.name == "partial" and self._adaptive_hits is not None:
-                self._adaptive_hits.inc()
+            if partial:
+                self._adaptive_hits.inc(job.size)
             summary = self._finish_trace(trace, backend.name, answer)
             return answer, backend.name, summary
-        raise BackendError(
-            f"all {len(self._backends)} backends failed "
-            f"(last: {last_error!r})"
-        )
-
-    def _query_backends_batch(
-        self, requests: tuple[QueryRequest, ...]
-    ) -> tuple[list[Biclique | None], str, dict]:
-        """Batch variant of the degradation walk.
-
-        Backends without a ``query_batch`` method (e.g. test doubles)
-        are driven with a per-request loop.  One trace covers the
-        whole batch; its counters are batch totals.
-        """
-        trace = SearchTrace(
-            trace_id=next(
-                (r.trace_id for r in requests if r.trace_id), None
-            )
-        )
-        objectives = {r.objective for r in requests}
-        trace.annotate(
-            kind="batch",
-            batch_size=len(requests),
-            objective=objectives.pop() if len(objectives) == 1 else "mixed",
-        )
-        last_error: Exception | None = None
-        for position, backend in enumerate(self._backends):
-            self._backend_queries.inc(backend=backend.name)
-            try:
-                with use_trace(trace):
-                    batch_fn = getattr(backend, "query_batch", None)
-                    if batch_fn is not None:
-                        answers = batch_fn(requests)
-                        if answers is not MISS:
-                            answers = list(answers)
-                    else:
-                        answers = [backend.query(r) for r in requests]
-            except Exception as exc:
-                last_error = exc
-                nxt = self._backends[position + 1].name \
-                    if position + 1 < len(self._backends) else "none"
-                self._fallbacks.inc(**{"from": backend.name, "to": nxt})
-                continue
-            if answers is MISS or any(a is MISS for a in answers):
-                # The partial/index tiers answer a batch all-or-nothing.
-                if (
-                    backend.name == "partial"
-                    and self._adaptive_misses is not None
-                ):
-                    self._adaptive_misses.inc(len(requests))
-                continue
-            if backend.name == "partial" and self._adaptive_hits is not None:
-                self._adaptive_hits.inc(len(requests))
-            trace.annotate(
-                answered=sum(1 for a in answers if a is not None)
-            )
-            summary = self._finish_trace(trace, backend.name, None)
-            return answers, backend.name, summary
-        raise BackendError(
-            f"all {len(self._backends)} backends failed "
-            f"(last: {last_error!r})"
-        )
+        return MISS, None, last_error
 
     def _finish_trace(
-        self, trace: SearchTrace, backend_name: str, answer: Biclique | None
+        self, trace: SearchTrace, backend_name: str, answer
     ) -> dict:
         """Seal a computation's trace: annotate, ring-buffer, publish."""
-        trace.annotate(backend=backend_name)
         if trace.meta.get("kind") == "query":
             trace.annotate(
+                backend=backend_name,
                 result=None
                 if answer is None
                 else {
                     "shape": list(answer.shape),
                     "edges": answer.num_edges,
-                }
+                },
+            )
+        else:
+            trace.annotate(
+                answered=sum(1 for a in answer if a is not None),
+                backend=backend_name,
             )
         summary = trace.to_dict()
         self.traces.append(summary)
@@ -1772,9 +1788,11 @@ class PMBCService:
             # Process-pool workers inherited the pre-update graph when
             # they were spawned; drop the pool from the chain for good
             # and serve from the in-process engine (already a fallback
-            # backend in process mode).
-            if self._exec_backend in self._backends:
-                self._backends.remove(self._exec_backend)
+            # backend in process mode).  The chain is replaced, not
+            # mutated, so a walk already under way keeps its own list.
+            self._backends = [
+                b for b in self._backends if b is not self._exec_backend
+            ]
             self._exec_degraded = True
             if self.builder is not None:
                 self._fallback_executor = ThreadBackend(

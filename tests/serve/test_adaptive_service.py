@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.construction_star import build_index_star
 from repro.core.online import pmbc_online
+from repro.core.query import QueryRequest
 from repro.exec.executor import create_executor
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.serve.service import PMBCService, ServiceConfig
@@ -85,6 +87,172 @@ def test_batch_served_by_partial_only_when_fully_covered(paper_graph):
         assert service.query_batch(hot).backend == "partial"
         mixed = hot + [(Side.LOWER.value, 0, 1, 1)]
         assert service.query_batch(mixed).backend != "partial"
+
+
+# ----------------------------------------------------------------------
+# resident answers at admission
+
+
+def _tier_counters(service):
+    """The per-request accounting a served answer must move."""
+    metrics = service.metrics
+    stats = service.stats()
+    return {
+        "partial_queries": metrics.get("pmbc_backend_queries_total").value(
+            backend="partial"
+        ),
+        "engine_queries": metrics.get("pmbc_backend_queries_total").value(
+            backend="engine"
+        ),
+        "hits": metrics.get("pmbc_adaptive_hits_total").total(),
+        "misses": metrics.get("pmbc_adaptive_misses_total").total(),
+        "ok": stats["requests"]["ok"],
+        "latency": stats["latency_seconds"]["count"],
+        "traces": stats["traces"]["recorded"],
+        "queue_waits": stats["queue_wait_seconds"]["count"],
+        "leaders": stats["singleflight"]["leaders"],
+    }
+
+
+def _moved(before, after):
+    return {key: after[key] - before[key] for key in before}
+
+
+def test_partial_hit_answers_at_admission_counted_once(paper_graph):
+    with PMBCService(paper_graph, config=adaptive_config()) as service:
+        warm_up(service, Side.UPPER, 0)
+        before = _tier_counters(service)
+        hit = service.query(
+            QueryRequest(Side.UPPER, 0, 1, 1, trace_id="hit-1"), explain=True
+        )
+        assert hit.backend == "partial"
+        assert hit.queue_seconds == 0
+        assert not hit.shared
+        assert _moved(before, _tier_counters(service)) == {
+            "partial_queries": 1,
+            "engine_queries": 0,
+            "hits": 1,
+            "misses": 0,
+            "ok": 1,
+            "latency": 1,
+            "traces": 1,
+            "queue_waits": 0,
+            "leaders": 0,
+        }
+        assert hit.trace["trace_id"] == "hit-1"
+        assert service.traces.find("hit-1")["meta"]["backend"] == "partial"
+
+        # A vertex with no resident tree falls through to the engine:
+        # one adaptive miss, one queued search.
+        assert (Side.LOWER, 0) not in service.partial_index
+        before = _tier_counters(service)
+        miss = service.query(Side.LOWER, 0, 1, 1)
+        assert miss.backend == "engine"
+        assert _moved(before, _tier_counters(service)) == {
+            "partial_queries": 1,
+            "engine_queries": 1,
+            "hits": 0,
+            "misses": 1,
+            "ok": 1,
+            "latency": 1,
+            "traces": 1,
+            "queue_waits": 1,
+            "leaders": 1,
+        }
+
+
+def test_batch_lookups_run_at_admission_only(paper_graph):
+    with PMBCService(paper_graph, config=adaptive_config()) as service:
+        warm_up(service, Side.UPPER, 0)
+        lookup = service.partial_index.lookup
+        callers = []
+
+        def spy(*args):
+            callers.append(threading.current_thread())
+            return lookup(*args)
+
+        service.partial_index.lookup = spy
+        hot = [(Side.UPPER.value, 0, 1, 1), (Side.UPPER.value, 0, 2, 1)]
+        before = _tier_counters(service)
+        resident = service.query_batch(hot)
+        assert resident.backend == "partial"
+        assert resident.queue_seconds == 0
+        moved = _moved(before, _tier_counters(service))
+        assert moved["hits"] == len(hot)
+        assert moved["queue_waits"] == 0
+
+        mixed = hot + [(Side.LOWER.value, 0, 1, 1)]
+        before = _tier_counters(service)
+        searched = service.query_batch(mixed)
+        assert searched.backend == "engine"
+        moved = _moved(before, _tier_counters(service))
+        assert moved["partial_queries"] == 1
+        assert moved["misses"] == len(mixed)
+        assert moved["queue_waits"] == 1
+        # Every lookup ran on the admitting thread; the worker walk
+        # started at the search tiers.
+        assert callers
+        assert all(t is threading.current_thread() for t in callers)
+
+
+def test_concurrent_admission_answers_are_counted_exactly_once(paper_graph):
+    """Many caller threads hitting and missing the partial tier at once."""
+    config = adaptive_config(num_workers=2, max_queue=256)
+    with PMBCService(paper_graph, config=config) as service:
+        warm_up(service, Side.UPPER, 0)
+        before = _tier_counters(service)
+        rounds, callers = 25, 8
+        backends: list[str] = []
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+
+        def caller(offset: int) -> None:
+            try:
+                for i in range(rounds):
+                    # Even rounds hit the resident tree; odd ones ask
+                    # for a family the partial tier declines, so they
+                    # miss without feeding the hot set (no new builds).
+                    if i % 2 == 0:
+                        request = QueryRequest(Side.UPPER, 0, 1, 1)
+                    else:
+                        vertex = (offset + i) % paper_graph.num_upper
+                        request = QueryRequest(
+                            Side.UPPER, vertex, objective="balanced"
+                        )
+                    result = service.query(request)
+                    with lock:
+                        backends.append(result.backend)
+            except Exception as exc:  # surfaced by the assert below
+                with lock:
+                    errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(i,))
+                for i in range(callers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        total = rounds * callers
+        hits = backends.count("partial")
+        assert len(backends) == total
+        assert hits == callers * ((rounds + 1) // 2)
+        moved = _moved(before, _tier_counters(service))
+        assert moved["partial_queries"] == total
+        assert moved["hits"] == hits
+        assert moved["misses"] == total - hits
+        assert moved["ok"] == total
+        assert moved["latency"] == total
+        assert moved["queue_waits"] == total - hits
+        assert service.stats()["queue"]["depth"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,9 @@ import urllib.request
 
 import pytest
 
+from repro.core import build_index_star
+from repro.core.query import QueryRequest
+from repro.graph.bipartite import Side
 from repro.serve import (
     AsyncPMBCServer,
     InvalidRequestError,
@@ -50,8 +53,6 @@ def test_query_carries_shard_and_degraded(async_sharded):
     service = server.service
     payload = client.query(side="upper", vertex=0, tau_u=2, tau_l=2)
     assert payload["result"] is not None
-    from repro.graph.bipartite import Side
-
     assert payload["shard"] == service.shard_map.shard_of(Side.UPPER, 0)
     assert payload["degraded"] is False
 
@@ -111,6 +112,7 @@ def test_method_not_allowed_is_405(async_sharded):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 405
+    info.value.close()
 
 
 def test_metrics_and_stats_surface_shard_series(async_sharded):
@@ -146,6 +148,25 @@ def test_plain_service_behind_async_front_end(paper_graph):
         assert payload["degraded"] is False
         assert "shard" not in payload
     assert service.closed
+
+
+def test_resident_answer_skips_the_queue(paper_graph):
+    """A mounted-index hit is answered at admission: no queue wait."""
+    service = PMBCService(
+        paper_graph,
+        index=build_index_star(paper_graph),
+        config=ServiceConfig(num_workers=2),
+    ).start()
+    with AsyncPMBCServer(service, port=0) as server:
+        client = PMBCClient(server.url, timeout=10)
+        request = QueryRequest(Side.UPPER, 0, 2, 2, trace_id="resident-1")
+        payload = client.query(request, explain=True)
+        assert payload["backend"] == "index"
+        assert payload["queue_ms"] == 0
+        assert payload["trace"]["trace_id"] == "resident-1"
+        found = client.debug_traces(trace_id="resident-1")
+        assert found["trace"]["meta"]["backend"] == "index"
+        assert client.stats()["queue_wait_seconds"]["count"] == 0
 
 
 def test_shutdown_closes_service_and_leaks_no_threads(paper_graph):

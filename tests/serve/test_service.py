@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.core import build_index_star, pmbc_online_star
+from repro.core.query import QueryRequest
 from repro.graph.bipartite import Side
 from repro.serve import (
     DeadlineExceededError,
@@ -195,6 +196,42 @@ def test_queue_full_rejects_immediately(paper_graph):
         release.set()
         for future in futures:
             future.result(timeout=5)
+
+
+def test_index_answers_at_admission_while_queue_is_full(paper_graph):
+    release = threading.Event()
+    slow = _SlowBackend(release=release)
+    config = ServiceConfig(num_workers=1, max_queue=2)
+    index = build_index_star(paper_graph)
+    with PMBCService(paper_graph, index=index, config=config) as service:
+        # The mounted index, then a search tier that holds the worker.
+        service._backends = [service._index_backend, slow]
+
+        def balanced(vertex):
+            # The index declines this family, so it goes to the queue.
+            return QueryRequest(Side.UPPER, vertex, objective="balanced")
+
+        futures = [service.submit(balanced(0))]
+        deadline = time.monotonic() + 5
+        while slow.calls < 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert slow.calls == 1
+        futures += [service.submit(balanced(v)) for v in (1, 2)]
+        assert service.stats()["queue"]["depth"] == 2
+
+        result = service.query(Side.UPPER, 3, 1, 1)
+        assert result.backend == "index"
+        assert result.queue_seconds == 0
+        expected = pmbc_online_star(paper_graph, Side.UPPER, 3, 1, 1)
+        assert result.biclique.num_edges == expected.num_edges
+        with pytest.raises(QueueFullError):
+            service.submit(balanced(4))
+        release.set()
+        for future in futures:
+            future.result(timeout=5)
+        stats = service.stats()
+    assert stats["requests"]["queue_full"] == 1
+    assert stats["queue_wait_seconds"]["count"] == 3  # the queued three
 
 
 # ----------------------------------------------------------------------
