@@ -3,7 +3,7 @@
 
 The paper closes by naming dynamic graphs as future work; this example
 exercises the repository's streaming stack end to end in the paper's
-own anomaly-detection setting: a :class:`repro.serve.PMBCServer` hosts
+own anomaly-detection setting: a :class:`repro.serve.AsyncPMBCServer` hosts
 a user-product graph, transactions arrive as ``POST /update`` batches
 through :class:`repro.serve.PMBCClient`, each batch is applied by the
 incremental core-bound maintenance (no rebuild), and a watch rule
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from repro import Side, from_edges
-from repro.serve import PMBCClient, PMBCServer, PMBCService
+from repro.serve import AsyncPMBCServer, PMBCClient, PMBCService
 
 ALERT_GROUP = 4  # alert when >= 4 coordinated accounts ...
 ALERT_ITEMS = 3  # ... push >= 3 common products
@@ -67,8 +67,7 @@ def main() -> None:
         labels.append(label)
         return len(labels) - 1
 
-    server = PMBCServer(PMBCService(graph).start(), port=0)
-    server.start()
+    server = AsyncPMBCServer(PMBCService(graph).start(), port=0).start()
     client = PMBCClient(server.url)
     try:
         print(

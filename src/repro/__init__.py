@@ -53,8 +53,8 @@ from repro.graph import (
     read_konect,
 )
 from repro.serve import (
+    AsyncPMBCServer,
     PMBCClient,
-    PMBCServer,
     PMBCService,
     ServiceConfig,
 )
@@ -62,11 +62,11 @@ from repro.serve import (
 __version__ = "1.0.0"
 
 __all__ = [
+    "AsyncPMBCServer",
     "Biclique",
     "BipartiteGraph",
     "PMBCClient",
     "PMBCIndex",
-    "PMBCServer",
     "PMBCService",
     "ServiceConfig",
     "Side",

@@ -392,12 +392,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query-serving front-end (repro.serve)."""
-    from repro.serve import (
-        AsyncPMBCServer,
-        PMBCServer,
-        PMBCService,
-        ServiceConfig,
-    )
+    from repro.serve import AsyncPMBCServer, PMBCService, ServiceConfig
 
     graph = _load_graph(args.graph, args.konect)
     index = _load_index(args.index) if args.index else None
@@ -419,16 +414,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         adaptive_persist_path=args.adaptive_persist,
     )
     if args.shards > 1:
-        # Sharded mode: N shard services behind the asyncio front-end.
+        # Sharded mode: N shard services behind the one front-end.
         # Config knobs (workers, budget) are per shard; the adaptive
         # byte budget is divided across shards by the router.
         from repro.shard import ShardedService
 
         service = ShardedService(
             graph, args.shards, index=index, config=config
-        ).start()
-        server = AsyncPMBCServer(
-            service, host=args.host, port=args.port, verbose=args.verbose
         ).start()
         shard0 = service.shards[0].service
         chain = " -> ".join(service.backend_names)
@@ -444,9 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         service = PMBCService(graph, index=index, config=config).start()
-        server = PMBCServer(
-            service, host=args.host, port=args.port, verbose=args.verbose
-        )
         chain = " -> ".join(service.backend_names)
         stats = service.stats()
         execution = stats["execution"]
@@ -477,6 +466,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{args.adaptive_persist or 'nothing'})",
                 flush=True,
             )
+    server = AsyncPMBCServer(
+        service, host=args.host, port=args.port, verbose=args.verbose
+    )
+    try:
+        server.start()
+    except OSError as exc:
+        service.close()
+        print(
+            f"error: cannot listen on {args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"listening on {server.url} "
         f"(endpoints: /query /query_batch /update /healthz /metrics "
@@ -761,10 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "it on restart")
     p_serve.add_argument("--shards", type=int, default=1, metavar="N",
                          help="partition the vertex space across N shard "
-                              "services behind the asyncio front-end "
-                              "(1 = single service behind the threaded "
-                              "front-end; workers/budget flags are per "
-                              "shard)")
+                              "services behind the HTTP front-end "
+                              "(1 = one unsharded service; workers/budget "
+                              "flags are per shard)")
     p_serve.add_argument("--no-core-bounds", action="store_true",
                          help="skip (α,β)-core bound precomputation")
     p_serve.add_argument("--verbose", action="store_true",

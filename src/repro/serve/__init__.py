@@ -9,13 +9,12 @@ online search) into a shared, instrumented service:
   (see :mod:`repro.exec`), a vertex-grouped batch path
   (:meth:`~repro.serve.service.PMBCService.query_batch`), and
   index → execution → online degradation;
-- :class:`~repro.serve.server.PMBCServer` — ``http.server`` JSON
-  front-end (``/query``, ``/query_batch``, ``/healthz``,
-  ``/metrics``, ``/stats``), one thread per connection;
-- :class:`~repro.serve.aserver.AsyncPMBCServer` — the asyncio
-  front-end serving the same schema while multiplexing many open
-  connections on one event loop; pairs with the shard router
-  (:class:`~repro.shard.ShardedService`) for ``pmbc serve --shards N``;
+- :class:`~repro.serve.aserver.AsyncPMBCServer` — the asyncio HTTP/JSON
+  front-end (``/query``, ``/query_batch``, ``/update``, ``/healthz``,
+  ``/metrics``, ``/stats``, ``/debug/traces``) multiplexing many open
+  connections on one event loop, over a plain service or the shard
+  router (:class:`~repro.shard.ShardedService`, ``pmbc serve
+  --shards N``);
 - :class:`~repro.serve.client.PMBCClient` — stdlib client mapping
   HTTP errors back onto the service exception types;
 - :mod:`~repro.serve.metrics` — dependency-free counters, gauges and
@@ -50,8 +49,7 @@ from repro.serve.service import (
     ServiceConfig,
     Submission,
 )
-from repro.serve.server import PMBCServer, serve_forever
-from repro.serve.aserver import AsyncPMBCServer, aserve_forever
+from repro.serve.aserver import AsyncPMBCServer
 from repro.serve.client import PMBCClient, RemoteServiceError
 
 __all__ = [
@@ -60,10 +58,7 @@ __all__ = [
     "QueryResult",
     "BatchResult",
     "Submission",
-    "PMBCServer",
-    "serve_forever",
     "AsyncPMBCServer",
-    "aserve_forever",
     "PMBCClient",
     "RemoteServiceError",
     "MetricsRegistry",

@@ -110,6 +110,12 @@ __all__ = [
     "BackendError",
 ]
 
+#: How far past a layer's current size an inserted edge may name a new
+#: vertex.  Every id in between becomes an isolated vertex, so without
+#: a bound one ``/update`` request could make the service allocate
+#: without limit.
+MAX_LAYER_GROWTH = 1024
+
 
 class ServeError(Exception):
     """Base class for service-level failures."""
@@ -227,9 +233,12 @@ class ServiceConfig:
             )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.default_deadline is not None and self.default_deadline <= 0:
+        if self.default_deadline is not None and not (
+            0 < self.default_deadline <= threading.TIMEOUT_MAX
+        ):
             raise ValueError(
-                f"default_deadline must be positive, got {self.default_deadline}"
+                f"default_deadline must be in (0, {threading.TIMEOUT_MAX:g}], "
+                f"got {self.default_deadline}"
             )
         if self.kernel is not None and self.kernel not in KERNEL_KINDS:
             raise ValueError(
@@ -1149,10 +1158,11 @@ class PMBCService:
             self._requests.inc(status="invalid")
             raise
         budget = self.config.default_deadline if deadline is None else deadline
-        if budget is not None and budget <= 0:
+        if budget is not None and not 0 < budget <= threading.TIMEOUT_MAX:
             self._requests.inc(status="invalid")
             raise InvalidRequestError(
-                f"deadline must be positive, got {budget}"
+                f"deadline must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"seconds, got {budget}"
             )
         now = time.monotonic()
         request = _Request(
@@ -1261,10 +1271,11 @@ class PMBCService:
             self._requests.inc(status="invalid")
             raise
         budget = self.config.default_deadline if deadline is None else deadline
-        if budget is not None and budget <= 0:
+        if budget is not None and not 0 < budget <= threading.TIMEOUT_MAX:
             self._requests.inc(status="invalid")
             raise InvalidRequestError(
-                f"deadline must be positive, got {budget}"
+                f"deadline must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"seconds, got {budget}"
             )
         now = time.monotonic()
         batch = _BatchRequest(
@@ -1600,6 +1611,14 @@ class PMBCService:
             ):
                 raise InvalidRequestError(
                     f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
+                )
+            if action == "insert" and (
+                u >= self.graph.num_upper + MAX_LAYER_GROWTH
+                or v >= self.graph.num_lower + MAX_LAYER_GROWTH
+            ):
+                raise InvalidRequestError(
+                    f"insert ({u}, {v}) would grow a layer by more than "
+                    f"{MAX_LAYER_GROWTH} vertices"
                 )
             ops.append((action, u, v))
         if not ops:

@@ -16,8 +16,8 @@ caches, hot set, and adaptive trees already know it.
   shard-aware and merged back in order, degraded rerouting around a
   down shard, and ``pmbc_shard_*`` metrics;
 - :class:`~repro.serve.aserver.AsyncPMBCServer` (in
-  :mod:`repro.serve`) — the asyncio front-end that multiplexes many
-  open connections onto a sharded (or plain) service.
+  :mod:`repro.serve`) — the HTTP front-end, which serves a sharded
+  service exactly as it serves a plain one.
 
 See docs/sharding.md for the design and failure semantics.
 """

@@ -1,13 +1,16 @@
-"""End-to-end tests of the asyncio front-end.
+"""End-to-end tests of the HTTP front-end: codec, request heads, shards.
 
-The same stdlib client the threaded server tests use, pointed at an
-:class:`AsyncPMBCServer` — once over a plain service and once over the
-shard router, which is the pairing ``pmbc serve --shards N`` deploys.
+A real :class:`AsyncPMBCServer` on an ephemeral port, exercised through
+:class:`repro.serve.client.PMBCClient`, raw ``urllib`` calls and raw
+sockets — over a plain service (the ``pmbc serve`` default, whose full
+HTTP surface ``test_server.py`` covers) and over the shard router,
+which is the pairing ``pmbc serve --shards N`` deploys.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -24,8 +27,18 @@ from repro.serve import (
     PMBCService,
     ServiceConfig,
 )
-from repro.serve.server import SCHEMA_VERSION
+from repro.serve.aserver import SCHEMA_VERSION
 from repro.shard import ShardedService
+
+
+@pytest.fixture()
+def plain(paper_graph):
+    """A server over one unsharded service (the ``pmbc serve`` default)."""
+    service = PMBCService(
+        paper_graph, config=ServiceConfig(num_workers=2)
+    ).start()
+    with AsyncPMBCServer(service, port=0) as server:
+        yield server
 
 
 @pytest.fixture()
@@ -39,6 +52,139 @@ def async_sharded(paper_graph):
         yield paper_graph, server, PMBCClient(server.url, timeout=10)
     finally:
         server.shutdown()
+
+
+# ----------------------------------------------------------------------
+# the wire codec (the rest of the plain-service surface: test_server.py)
+
+
+def _post_raw(server, route: str, body: bytes) -> tuple[int, dict]:
+    """POST ``body`` verbatim; the status and the decoded JSON reply."""
+    request = urllib.request.Request(
+        server.url + route,
+        data=body,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, json.loads(exc.read())
+
+
+@pytest.mark.parametrize(
+    ("route", "body"),
+    [
+        ("/query", '{"side": "upper", "label": [1]}'),
+        ("/query", '{"side": "upper", "label": {"u1": 1}}'),
+        ("/query", '{"side": "upper", "vertex": 1e400}'),
+        ("/query", '{"side": "upper", "vertex": 1.9}'),
+        ("/query", '{"side": "upper", "vertex": true}'),
+        ("/query", '{"side": "upper", "vertex": 0, "tau_u": 1.5}'),
+        ("/query", '{"side": "upper", "vertex": 0, "deadline": NaN}'),
+        ("/query", '{"side": "upper", "vertex": 0, "deadline": 1e400}'),
+        ("/query", '{"side": "upper", "vertex": 0, "deadline": 1e308}'),
+        ("/query_batch", '{"queries": [{"side": "upper", "label": [1]}]}'),
+        ("/query_batch", '{"queries": [{"side": "upper", "vertex": 1.9}]}'),
+        (
+            "/query_batch",
+            '{"queries": [{"side": "upper", "vertex": 0}], "deadline": NaN}',
+        ),
+    ],
+    ids=[
+        "label-list",
+        "label-object",
+        "vertex-overflow",
+        "vertex-fraction",
+        "vertex-bool",
+        "tau-fraction",
+        "deadline-nan",
+        "deadline-inf",
+        "deadline-past-timeout-max",
+        "batch-label-list",
+        "batch-vertex-fraction",
+        "batch-deadline-nan",
+    ],
+)
+def test_unrepresentable_wire_values_are_typed_400(plain, route, body):
+    """A value the codec cannot take exactly is a 400, not a guess."""
+    status, payload = _post_raw(plain, route, body.encode())
+    assert status == 400, payload
+    assert payload["error"] == "InvalidRequestError"
+
+
+# ----------------------------------------------------------------------
+# request heads: the limits and interim response of http.server
+
+
+def _exchange(server, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket; everything read until close."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_overlong_request_line_is_414(plain):
+    target = "/query?side=upper&vertex=0&pad=" + "a" * 70_000
+    reply = _exchange(
+        plain, f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+    )
+    assert reply.startswith(b"HTTP/1.1 414 "), reply[:80]
+    assert b"URITooLong" in reply
+
+
+def test_overlong_header_line_is_431(plain):
+    reply = _exchange(
+        plain,
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: "
+        + b"a" * 70_000
+        + b"\r\n\r\n",
+    )
+    assert reply.startswith(b"HTTP/1.1 431 "), reply[:80]
+
+
+def test_more_than_100_headers_is_431(plain):
+    headers = "".join(f"X-Header-{i}: {i}\r\n" for i in range(150))
+    reply = _exchange(
+        plain, f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode()
+    )
+    assert reply.startswith(b"HTTP/1.1 431 "), reply[:80]
+    assert b"more than 100 headers" in reply
+
+
+def test_expect_100_continue_gets_interim_response(plain):
+    """The interim ``100 Continue`` comes before the client sends a body."""
+    body = json.dumps({"side": "upper", "vertex": 0}).encode()
+    head = (
+        "POST /query HTTP/1.1\r\nHost: x\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Expect: 100-continue\r\nConnection: close\r\n\r\n"
+    ).encode()
+    with socket.create_connection(plain.address, timeout=5) as sock:
+        sock.sendall(head)
+        interim = b""
+        while b"\r\n\r\n" not in interim:
+            chunk = sock.recv(1)
+            assert chunk, "connection closed before an interim response"
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    assert reply.startswith(b"HTTP/1.1 200 "), reply[:80]
+    payload = json.loads(reply.partition(b"\r\n\r\n")[2])
+    assert payload["result"] is not None
+
+
+# ----------------------------------------------------------------------
+# the shard router (pmbc serve --shards N)
 
 
 def test_healthz_and_schema_version(async_sharded):
@@ -137,7 +283,7 @@ def test_debug_traces_lookup(async_sharded):
 
 
 def test_plain_service_behind_async_front_end(paper_graph):
-    """The asyncio front-end also fronts an unsharded service."""
+    """The front-end also fronts an unsharded service."""
     service = PMBCService(
         paper_graph, config=ServiceConfig(num_workers=2)
     ).start()

@@ -17,13 +17,13 @@ from repro.core.query import QueryRequest
 from repro.graph.bipartite import Side
 from repro.mbb import personalized_balanced_reference
 from repro.serve import (
+    AsyncPMBCServer,
     InvalidRequestError,
     PMBCClient,
-    PMBCServer,
     PMBCService,
     ServiceConfig,
 )
-from repro.serve.server import SCHEMA_VERSION
+from repro.serve.aserver import SCHEMA_VERSION
 
 
 @pytest.fixture()
@@ -42,7 +42,7 @@ def served(paper_graph):
         index=index,
         config=ServiceConfig(num_workers=2, max_queue=32),
     ).start()
-    server = PMBCServer(svc, port=0).start()
+    server = AsyncPMBCServer(svc, port=0).start()
     try:
         yield PMBCClient(server.url, timeout=10)
     finally:

@@ -14,8 +14,8 @@ from repro.core import build_index_star
 from repro.core.query import QueryRequest
 from repro.graph.bipartite import Side
 from repro.serve import (
+    AsyncPMBCServer,
     PMBCClient,
-    PMBCServer,
     PMBCService,
     ServiceConfig,
 )
@@ -36,7 +36,7 @@ def served(paper_graph):
         index=index,
         config=ServiceConfig(num_workers=2, max_queue=32),
     ).start()
-    server = PMBCServer(svc, port=0).start()
+    server = AsyncPMBCServer(svc, port=0).start()
     try:
         yield PMBCClient(server.url, timeout=10)
     finally:

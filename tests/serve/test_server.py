@@ -1,7 +1,10 @@
-"""End-to-end tests of the HTTP front-end and client.
+"""End-to-end tests of the HTTP front-end over one unsharded service.
 
-A real server on an ephemeral port, exercised through
-:class:`repro.serve.client.PMBCClient` and raw ``urllib`` calls.
+The ``pmbc serve`` default deployment: a real :class:`AsyncPMBCServer`
+over a plain :class:`PMBCService` on an ephemeral port, exercised
+through :class:`repro.serve.client.PMBCClient` and raw ``urllib``
+calls.  The sharded pairing and the request-head handling are covered
+in ``test_aserver.py``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from repro.core import build_index_star, check_personalized_answer
 from repro.core.result import Biclique
 from repro.graph.bipartite import Side
 from repro.serve import (
+    AsyncPMBCServer,
     InvalidRequestError,
     PMBCClient,
-    PMBCServer,
     PMBCService,
     ServiceConfig,
 )
@@ -33,7 +36,7 @@ def served(paper_graph):
         index=index,
         config=ServiceConfig(num_workers=4, max_queue=32),
     ).start()
-    server = PMBCServer(service, port=0).start()
+    server = AsyncPMBCServer(service, port=0).start()
     try:
         yield paper_graph, server, PMBCClient(server.url, timeout=10)
     finally:
@@ -150,7 +153,7 @@ def test_stats_exposes_engine_cache(served):
 def test_shutdown_closes_service(paper_graph):
     service = PMBCService(paper_graph, config=ServiceConfig(num_workers=2))
     service.start()
-    server = PMBCServer(service, port=0).start()
+    server = AsyncPMBCServer(service, port=0).start()
     client = PMBCClient(server.url, timeout=10)
     assert client.healthz()
     server.shutdown()
@@ -160,16 +163,16 @@ def test_shutdown_closes_service(paper_graph):
 def test_shutdown_joins_acceptor_before_service_and_leaks_no_threads(
     paper_graph,
 ):
-    """Regression: the acceptor thread must be joined before the
-    service (and its executor) closes — the old order let an in-flight
-    handler race a closing service, and could leave the acceptor
-    thread alive after ``shutdown()`` returned.
+    """Regression: the acceptor (the event-loop thread) must be joined
+    before the service (and its executor) closes — the other order lets
+    an in-flight request race a closing service, and could leave the
+    acceptor thread alive after ``shutdown()`` returned.
     """
     import threading
 
     service = PMBCService(paper_graph, config=ServiceConfig(num_workers=2))
     service.start()
-    server = PMBCServer(service, port=0).start()
+    server = AsyncPMBCServer(service, port=0).start()
     client = PMBCClient(server.url, timeout=10)
     assert client.query(side="upper", vertex=0)["result"] is not None
     server.shutdown()
@@ -177,7 +180,7 @@ def test_shutdown_joins_acceptor_before_service_and_leaks_no_threads(
     leaked = [
         t.name
         for t in threading.enumerate()
-        if t.name.startswith(("pmbc-serve", "pmbc-adaptive"))
+        if t.name.startswith(("pmbc-aserve", "pmbc-serve", "pmbc-adaptive"))
     ]
     assert not leaked, f"threads alive after shutdown: {leaked}"
     # Shutdown is idempotent.

@@ -169,6 +169,18 @@ def test_invalid_deadline_rejected(paper_graph):
             s.query(Side.UPPER, 0, deadline=-1)
 
 
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 1e308])
+def test_unwaitable_deadline_rejected(paper_graph, deadline):
+    """A budget no future wait can honour is a 400, not an OverflowError."""
+    with PMBCService(paper_graph, config=ServiceConfig(num_workers=1)) as s:
+        with pytest.raises(InvalidRequestError):
+            s.query(Side.UPPER, 0, deadline=deadline)
+        with pytest.raises(InvalidRequestError):
+            s.query_batch([QueryRequest(Side.UPPER, 0)], deadline=deadline)
+    with pytest.raises(ValueError):
+        ServiceConfig(default_deadline=deadline)
+
+
 # ----------------------------------------------------------------------
 # admission control
 

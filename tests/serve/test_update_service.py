@@ -16,11 +16,12 @@ from repro.corenum.bounds import compute_bounds
 from repro.graph.bipartite import Side
 from repro.graph.generators import paper_example_graph, random_bipartite
 from repro.serve import (
+    AsyncPMBCServer,
     InvalidRequestError,
     PMBCClient,
-    PMBCServer,
     PMBCService,
 )
+from repro.serve.service import MAX_LAYER_GROWTH
 
 
 @pytest.fixture
@@ -145,13 +146,32 @@ def test_invalid_updates_rejected(service):
         service.update_batch([("insert", -1, 0)])
 
 
+def test_insert_may_not_grow_a_layer_without_bound(service):
+    """One insert naming a far-off vertex id is rejected, not allocated."""
+    graph = service.graph
+    with pytest.raises(InvalidRequestError):
+        service.update_batch(
+            [("insert", graph.num_upper + MAX_LAYER_GROWTH, 0)]
+        )
+    with pytest.raises(InvalidRequestError):
+        service.update_batch([("insert", 0, 10**18)])
+    assert service.graph.num_upper == graph.num_upper
+    # Deletes never grow a layer, so a far-off id is a free no-op.
+    assert service.update_batch([("delete", 10**18, 0)]).noops == 1
+    result = service.update_batch(
+        [("insert", graph.num_upper + MAX_LAYER_GROWTH - 1, 0)]
+    )
+    assert result.inserts == 1
+    assert service.graph.num_upper == graph.num_upper + MAX_LAYER_GROWTH
+
+
 # ----------------------------------------------------------------------
 # HTTP endpoint
 # ----------------------------------------------------------------------
 @pytest.fixture
 def http_client():
-    server = PMBCServer(PMBCService(paper_example_graph()).start(), port=0)
-    server.start()
+    service = PMBCService(paper_example_graph()).start()
+    server = AsyncPMBCServer(service, port=0).start()
     try:
         yield PMBCClient(server.url), server
     finally:

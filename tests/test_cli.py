@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graph.generators import paper_example_graph
 from repro.graph.io import write_edge_list, write_konect
@@ -228,6 +238,63 @@ def test_serve_missing_index_clean_error(edges_file, capsys):
     code = main(["serve", edges_file, "--index", "/no/such.idx"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_serve_port_in_use_clean_error(edges_file, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = main(["serve", edges_file, "--port", str(port)])
+    assert code == 2
+    assert "error: cannot listen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_serve_end_to_end(edges_file, shards):
+    """``pmbc serve`` answers HTTP in both modes and stops on SIGINT."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", edges_file,
+            "--port", "0", "--shards", str(shards),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    # A server that never prints its address is killed, ending the read.
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        url = next(
+            line.split()[2]
+            for line in proc.stdout
+            if line.startswith("listening on ")
+        )
+        with urllib.request.urlopen(url + "/healthz", timeout=10) as reply:
+            assert reply.status == 200
+        request = urllib.request.Request(
+            url + "/healthz", data=b"{}", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 405
+        info.value.close()
+        proc.send_signal(signal.SIGINT)
+        __, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert "shutting down" in err
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
 
 
 def test_binary_index_build_and_query(edges_file, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import _parse_update_op, main
 from repro.graph.bipartite import Side
 from repro.graph.generators import paper_example_graph
-from repro.serve import PMBCServer, PMBCService
+from repro.serve import AsyncPMBCServer, PMBCService
 
 
 def test_parse_update_op_forms():
@@ -30,8 +30,8 @@ def test_parse_update_op_rejects(token):
 
 @pytest.fixture
 def server():
-    srv = PMBCServer(PMBCService(paper_example_graph()).start(), port=0)
-    srv.start()
+    service = PMBCService(paper_example_graph()).start()
+    srv = AsyncPMBCServer(service, port=0).start()
     try:
         yield srv
     finally:
