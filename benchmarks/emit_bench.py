@@ -76,9 +76,19 @@ Rows record whole-stream latency stats for both execution modes and
 the speedup of batched over per-request; answers are asserted equal,
 so the batch rows double as a batch-vs-single differential run.
 
+An ``hq_sweep`` group shows the search schedule on both sides of
+:data:`repro.mbc.progressive.ONE_ROUND_MAX_TWOHOP`.  No zoo dataset has
+a two-hop subgraph that large, so its rows run top-degree PMBC-OL\*
+queries (bitset kernel) on capped power-law generator graphs with
+planted blocks.  Each query is timed under the schedule the constant
+selects for its ``|H_q|`` and under the other one (the constant is set
+in-process, in interleaved pairs), the two answers are asserted equal,
+and every query's ``|H_q|`` is recorded.  The constant is the largest
+swept ``|H_q|`` at which one round won every query.
+
 ``--smoke`` runs a two-dataset subset with fewer repeats and exits
 non-zero unless (a) the bitset kernel is at least as fast as the set
-kernel on every smoke row of the **pmbc** suites and (b) the batched
+kernel on every smoke row of the fig6 **pmbc** suite and (b) the batched
 path beats per-request execution on every batch row (the CI
 benchmark-smoke gate).  Balanced rows are exempt from the speed gate —
 the balanced family switches the Lemma 9 size bounds off, so the
@@ -87,12 +97,14 @@ are head-to-head measurements, not gates: the word-array kernel trades
 per-query scan latency for in-place mutation, so it is expected to
 trail on narrow per-query extractions and win where reduction loops
 dominate.  Cross-kernel answer equality is asserted on every row
-regardless.
+regardless.  The smoke plan also runs one ``hq_sweep`` row on each side
+of the constant, as a differential check with no timing gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import platform
@@ -107,7 +119,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.bench.workloads import top_degree_queries, zipf_queries  # noqa: E402
-from repro.core.online import pmbc_online, pmbc_online_batch  # noqa: E402
+from repro.core.online import (  # noqa: E402
+    extract_local,
+    pmbc_online,
+    pmbc_online_batch,
+)
 from repro.core.query import QueryRequest  # noqa: E402
 from repro.corenum.bounds import compute_bounds  # noqa: E402
 from repro.kernel import KERNEL_KINDS, PACKED_KERNELS  # noqa: E402
@@ -116,6 +132,11 @@ from repro.datasets.zoo import (  # noqa: E402
     load_dataset,
     scalability_dataset_names,
 )
+from repro.graph.generators import (  # noqa: E402
+    capped_power_law_bipartite,
+    with_planted_blocks,
+)
+from repro.mbc import progressive  # noqa: E402
 
 #: Same workload scaling as benchmarks/conftest.py.
 NUM_QUERIES = 20
@@ -135,6 +156,31 @@ BATCH_NUM_QUERIES = 80
 BATCH_SMOKE_QUERIES = 60
 BATCH_EXPONENT = 1.2
 BATCH_TAUS = (TAU_FIG6, 2)
+
+#: hq_sweep graphs as ``(n, m, cap)``: ``capped_power_law_bipartite(n,
+#: n, m, cap_upper=cap, cap_lower=cap, seed=7)`` with HQ_SWEEP_BLOCKS
+#: planted (seed 3).  Their top-degree ``|H_q|`` spans are noted.
+HQ_SWEEP_GRAPHS = (
+    (1500, 9000, 90),  # 599-872
+    (1750, 11500, 120),  # 928-1308
+    (1900, 13000, 140),  # 1080-1396
+    (2000, 14000, 150),  # 1196-1678
+    (3000, 25000, 300),  # 2409-2875
+)
+HQ_SWEEP_BLOCKS = ((12, 10), (9, 14), (20, 6), (6, 25))
+HQ_SWEEP_TAUS = (5, 3, 2)
+#: The top-degree vertices of each graph (the pool is the sample).
+HQ_SWEEP_QUERIES = 10
+#: Interleaved (one round, rounds) timing pairs per query on full runs.
+#: Near the crossover the schedules differ by ~10%, about the host's
+#: run-to-run noise, so a query's verdict is its median per-pair ratio
+#: rather than a best-of-5 comparison.
+HQ_SWEEP_PAIRS = 9
+#: Where the sweep stops: on the largest graph some τ=2 queries take
+#: over 30 s under either schedule.
+HQ_SWEEP_SKIP = (((3000, 25000, 300), 2),)
+#: Smoke: one row on each side of the constant.
+HQ_SWEEP_SMOKE = (((1500, 9000, 90), 5), ((2000, 14000, 150), 5))
 
 #: Serve-suite workload: a Zipf stream against the Github dataset.
 SERVE_DATASET = "Github"
@@ -332,6 +378,96 @@ def bench_batch_case(graph, requests, bounds, kernel, repeats):
         ),
     }
     return modes, speedups
+
+
+@contextlib.contextmanager
+def search_schedule(one_round_max: int):
+    """Run the enclosed searches with ``ONE_ROUND_MAX_TWOHOP`` set."""
+    shipped = progressive.ONE_ROUND_MAX_TWOHOP
+    progressive.ONE_ROUND_MAX_TWOHOP = one_round_max
+    try:
+        yield
+    finally:
+        progressive.ONE_ROUND_MAX_TWOHOP = shipped
+
+
+def hq_sweep_graph(n: int, m: int, cap: int):
+    """One hq_sweep generator graph (see ``HQ_SWEEP_GRAPHS``)."""
+    graph = capped_power_law_bipartite(
+        n, n, m, cap_upper=cap, cap_lower=cap, seed=7
+    )
+    return with_planted_blocks(graph, HQ_SWEEP_BLOCKS, seed=3)
+
+
+def bench_hq_case(graph, queries, tau, bounds, pairs):
+    """One hq_sweep row: each query timed in ``pairs`` interleaved
+    (one round, rounds) pairs, alternating which goes first.
+
+    The schedule the shipped constant selects for a query's ``|H_q|``
+    is its ``schedule``; the row totals compare that choice against
+    always taking the other one.
+    """
+    shipped = progressive.ONE_ROUND_MAX_TWOHOP
+    schedules = {"one_round": 10**9, "rounds": 0}
+    perf_counter = time.perf_counter
+    rows = []
+    for side, q in queries:
+        local = extract_local(graph, side, q, "bitset")
+        hq = local.num_upper + local.num_lower
+        best = dict.fromkeys(schedules, float("inf"))
+        edges = {}
+        ratios = []
+        for pair in range(pairs):
+            order = list(schedules.items())
+            if pair % 2:
+                order.reverse()
+            elapsed = {}
+            for name, one_round_max in order:
+                with search_schedule(one_round_max):
+                    t0 = perf_counter()
+                    result = pmbc_online(
+                        graph, side, q, tau, tau,
+                        bounds=bounds, kernel="bitset",
+                    )
+                    elapsed[name] = (perf_counter() - t0) * 1e3
+                best[name] = min(best[name], elapsed[name])
+                edges[name] = result.num_edges if result is not None else 0
+            ratios.append(elapsed["one_round"] / elapsed["rounds"])
+        if edges["one_round"] != edges["rounds"]:
+            raise AssertionError(
+                f"one round and the rounds disagree on {side.value} {q} "
+                f"at tau={tau}: {edges} — differential failure"
+            )
+        rows.append(
+            {
+                "side": side.value,
+                "vertex": q,
+                "hq": hq,
+                "schedule": "one_round" if hq <= shipped else "rounds",
+                "one_round_ms": round(best["one_round"], 4),
+                "rounds_ms": round(best["rounds"], 4),
+                "one_round_ratio": round(statistics.median(ratios), 3),
+                "edges": edges["rounds"],
+            }
+        )
+    totals = {
+        name: round(sum(r[f"{name}_ms"] for r in rows), 4)
+        for name in schedules
+    }
+    totals["selected"] = round(
+        sum(r[f"{r['schedule']}_ms"] for r in rows), 4
+    )
+    totals["other"] = round(
+        totals["one_round"] + totals["rounds"] - totals["selected"], 4
+    )
+    return {
+        "hq_min": min(r["hq"] for r in rows),
+        "hq_max": max(r["hq"] for r in rows),
+        "one_round_wins": sum(r["one_round_ratio"] < 1 for r in rows),
+        "totals_ms": totals,
+        "speedup_selected": round(totals["other"] / totals["selected"], 3),
+        "queries": rows,
+    }
 
 
 def build_plan(smoke: bool, only: list[str] | None):
@@ -1158,6 +1294,11 @@ def run_kernel_suite(args) -> int:
                 flush=True,
             )
 
+    if not args.datasets:
+        rows.extend(
+            run_hq_sweep(args.smoke, repeats if args.smoke else HQ_SWEEP_PAIRS)
+        )
+
     summary = {}
     for suite in ("fig6", "fig7", "balanced", "batch"):
         for label in ("small", "medium", "large"):
@@ -1196,6 +1337,14 @@ def run_kernel_suite(args) -> int:
                 "taus": list(BATCH_TAUS),
                 "timing": "whole-stream totals over repeats",
             },
+            "hq_sweep": {
+                "one_round_max_twohop": progressive.ONE_ROUND_MAX_TWOHOP,
+                "num_queries": HQ_SWEEP_QUERIES,
+                "kernel": "bitset",
+                "pairs": repeats if args.smoke else HQ_SWEEP_PAIRS,
+                "timing": "per-query best-of-pairs and median per-pair "
+                "ratio, schedules interleaved",
+            },
         },
         "results": rows,
         "summary": summary,
@@ -1209,7 +1358,8 @@ def run_kernel_suite(args) -> int:
         # pmbc-objective rows gate on speed.
         failed = False
         for r in rows:
-            if r["objective"] != "pmbc":
+            # hq_sweep rows are differential checks, not speed gates.
+            if r["objective"] != "pmbc" or r["suite"] == "hq_sweep":
                 continue
             if r["suite"] == "batch":
                 if r["speedup_mean"] < 1.0:
@@ -1237,9 +1387,56 @@ def run_kernel_suite(args) -> int:
         print(
             "smoke ok: bitset >= set on every pmbc smoke config, "
             "batched beats per-request on every batch row; "
-            "kernels agreed on every objective"
+            "kernels agreed on every objective, schedules on every "
+            "hq_sweep row"
         )
     return 0
+
+
+def run_hq_sweep(smoke: bool, pairs: int) -> list[dict]:
+    """The hq_sweep rows (one per graph and τ; see the module docstring)."""
+    if smoke:
+        plan = HQ_SWEEP_SMOKE
+    else:
+        plan = [
+            (spec, tau)
+            for spec in HQ_SWEEP_GRAPHS
+            for tau in HQ_SWEEP_TAUS
+            if (spec, tau) not in HQ_SWEEP_SKIP
+        ]
+    graphs: dict[tuple, tuple] = {}
+    rows = []
+    for spec, tau in plan:
+        if spec not in graphs:
+            graph = hq_sweep_graph(*spec)
+            queries = top_degree_queries(
+                graph,
+                num_queries=HQ_SWEEP_QUERIES,
+                pool_size=HQ_SWEEP_QUERIES,
+            )
+            graphs[spec] = graph, queries, compute_bounds(graph)
+        graph, queries, bounds = graphs[spec]
+        n, m, cap = spec
+        row = bench_hq_case(graph, queries, tau, bounds, pairs)
+        rows.append(
+            {
+                "suite": "hq_sweep",
+                "dataset": f"capped n={n} m={m} cap={cap}",
+                "config": f"OL* tau={tau}",
+                "objective": "pmbc",
+                **row,
+            }
+        )
+        totals = row["totals_ms"]
+        print(
+            f"hq_sweep n={n:<5d} tau={tau} |H_q| "
+            f"{row['hq_min']}-{row['hq_max']} "
+            f"one_round={totals['one_round']:.1f}ms "
+            f"rounds={totals['rounds']:.1f}ms "
+            f"one round won {row['one_round_wins']}/{len(queries)}",
+            flush=True,
+        )
+    return rows
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Ablation study (ours) — isolating each design choice of the paper.
 
-Not a paper table, but DESIGN.md calls out four load-bearing design
+Not a paper table, but DESIGN.md calls out five load-bearing design
 choices; each gets an on/off comparison on one mid-size dataset:
 
 1. (α,β)-core bounds (PMBC-OL vs PMBC-OL*, Section VI-C);
 2. Lemma 6 shape caps during index construction;
 3. skyline cost-sharing (PMBC-IC vs PMBC-IC*, Section VI-B);
-4. the two-hop (wedge) reduction inside the online search.
+4. the two-hop (wedge) reduction inside the online search;
+5. progressive-bounding rounds vs one exact round (Algorithm 1/5).
+   Every Github two-hop subgraph is below ``ONE_ROUND_MAX_TWOHOP``, so
+   the shipped setting runs one round; setting the constant to 0
+   forces the rounds.
 
 Every variant must return identical answer sizes — the knobs are pure
 accelerators — which each case asserts.
@@ -18,6 +22,7 @@ import pytest
 
 from repro.core import build_index, build_index_star, pmbc_online
 from repro.datasets.zoo import load_dataset
+from repro.mbc import progressive
 
 pytestmark = pytest.mark.benchmark(group="ablation")
 
@@ -69,6 +74,24 @@ def test_ablate_two_hop_reduction(benchmark, graph, reference_answers, with_wedg
         lambda: _run_queries(
             graph, queries, answers, use_two_hop_reduction=with_wedge
         ),
+        rounds=2,
+        iterations=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "one_round_max",
+    [progressive.ONE_ROUND_MAX_TWOHOP, 0],
+    ids=["one-round", "rounds"],
+)
+def test_ablate_progressive_rounds(
+    benchmark, graph, reference_answers, one_round_max, all_bounds, monkeypatch
+):
+    queries, answers = reference_answers
+    bounds = all_bounds(DATASET)
+    monkeypatch.setattr(progressive, "ONE_ROUND_MAX_TWOHOP", one_round_max)
+    benchmark.pedantic(
+        lambda: _run_queries(graph, queries, answers, bounds=bounds),
         rounds=2,
         iterations=1,
     )

@@ -8,11 +8,14 @@ each instrumentation point, and a no-op span around the two extraction
 timing, scale it by a deliberately generous per-query guard budget,
 and assert it stays under 5% of the measured per-query latency.  A
 second test sanity-bounds *fully enabled* tracing, which does strictly
-more work than the null path.
+more work than the null path; it takes the median of per-pair ratios
+over interleaved (null, traced) pairs, so one slow pass moves one ratio
+rather than the estimate.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -34,6 +37,13 @@ ROUNDS = 7  # min-of-N; the minimum is the least noisy estimator
 #: old 4-5x margin would charge the null path for work it never does.
 GUARDS_PER_QUERY = 32
 SPANS_PER_QUERY = 4
+
+#: Enabled-tracing estimate: interleaved (null, traced) pairs, arm order
+#: alternating, each arm ``PASSES`` workload passes long.  The median of
+#: the per-pair ratios replaced a ratio of two min-of-7 timings, which
+#: failed the 25% bound in about 1 run in 15 with a median near 11%.
+PAIRS = 21
+PASSES = 3
 
 
 @pytest.fixture(scope="module")
@@ -95,24 +105,31 @@ def test_enabled_tracing_stays_cheap(graphs, all_bounds, workload):
     bounds = all_bounds(DATASET)
     _run(graph, bounds, workload)  # warm
 
-    def traced():
-        with use_trace(SearchTrace()):
+    def null():
+        for __ in range(PASSES):
             _run(graph, bounds, workload)
 
-    # Interleave the arms so clock drift hits both equally.
-    best_null = best_traced = float("inf")
-    for __ in range(ROUNDS):
-        start = time.perf_counter()
-        _run(graph, bounds, workload)
-        best_null = min(best_null, time.perf_counter() - start)
-        start = time.perf_counter()
-        traced()
-        best_traced = min(best_traced, time.perf_counter() - start)
+    def traced():
+        for __ in range(PASSES):
+            with use_trace(SearchTrace()):
+                _run(graph, bounds, workload)
 
-    overhead = best_traced / best_null - 1.0
+    # Interleave the arms, alternating which goes first, so clock drift
+    # and order effects hit both equally.
+    ratios = []
+    for i in range(PAIRS):
+        elapsed = {}
+        for arm in (null, traced) if i % 2 == 0 else (traced, null):
+            start = time.perf_counter()
+            arm()
+            elapsed[arm] = time.perf_counter() - start
+        ratios.append(elapsed[traced] / elapsed[null])
+
+    overhead = statistics.median(ratios) - 1.0
     assert overhead < 0.25, (
         f"enabled tracing costs {overhead:.1%} over the null default "
-        f"({best_traced * 1e3:.2f} ms vs {best_null * 1e3:.2f} ms)"
+        f"(median of {PAIRS} per-pair ratios; range "
+        f"{min(ratios) - 1.0:.1%} to {max(ratios) - 1.0:.1%})"
     )
 
 

@@ -6,12 +6,14 @@ the *per-request* work shareable too.  Both caches memoize pure
 functions of the packed view, so reuse can never change an answer, a
 prune tally or a round record — it only skips recomputation:
 
-- :func:`cached_reduce` — the reduction fixpoint of a progressive round
-  is a pure function of ``(floors, alive masks)`` over one packed view.
-  Requests with different τ floors on the same ``H_q`` frequently pass
-  through identical rounds (the progressive ladder starts at the same
-  ``floor_w`` and halves), and near-duplicate requests replay whole
-  ladders; each distinct round computes once per extraction.
+- :func:`cached_reduce` — the reduction fixpoint of a search round is
+  a pure function of ``(floors, alive masks)`` over one packed view.
+  Below :data:`repro.mbc.progressive.ONE_ROUND_MAX_TWOHOP` a query runs
+  one round, so repeats of the same request (same floors, same
+  incumbent) replay it; above it, requests with different τ floors on
+  the same ``H_q`` also pass through identical rounds (the progressive
+  ladder starts at the same ``floor_w`` and halves).  Each distinct
+  round computes once per extraction.
 - :func:`cached_seed` — the greedy seed ``C*_0`` is a pure function of
   ``(tau_p, tau_w)`` over the extraction (every kernel grows the
   identical seed), and group members repeat floor pairs constantly.
@@ -70,7 +72,7 @@ def cached_reduce(
     alive_l: int,
     use_two_hop: bool,
 ) -> tuple[int, int]:
-    """The reduction fixpoint of one progressive round, memoized.
+    """The reduction fixpoint of one search round, memoized.
 
     The cache key excludes the kernel: ``"bitset"`` and ``"words"``
     compute the identical fixpoint (machine-checked by the differential

@@ -58,12 +58,14 @@ def bitset_progressive(
     best: tuple[frozenset[int], frozenset[int]] | None,
     best_size: int,
     floor_w: int,
+    one_round: bool,
     options: "SearchOptions",
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """Run the progressive rounds of Algorithm 1/5 in mask space.
 
     ``best``/``best_size``/``floor_w`` are the seed incumbent and the
-    initial lower floor computed by the shared prologue in
+    initial lower floor, and ``one_round`` the schedule decision, all
+    computed by the shared prologue in
     :func:`repro.mbc.progressive.maximum_biclique_local`; the return
     value is in the same local coordinates as the set path's.
     """
@@ -82,6 +84,10 @@ def bitset_progressive(
         tau_p_k, tau_w_k = objective.round_floors(
             best_size, floor_w, tau_p, tau_w
         )
+        if one_round:
+            # floor_w is still the largest |W| in H_q, so the upper
+            # floor holds for every biclique; search down to tau_w.
+            tau_w_k = tau_w
         if trace.enabled:
             trace.add("progressive_rounds")
             nodes_before = trace.counters.get("bb_nodes", 0)

@@ -10,6 +10,14 @@ lowered lower-layer floors:
   ``τ_L^{k+1} = max(⌊τ_L^k / 2⌋, τ_L)``;
 - rounds stop once the floor reaches ``τ_L``.
 
+The rounds only pay on large two-hop subgraphs.  At or below
+:data:`ONE_ROUND_MAX_TWOHOP` vertices the search runs one exact round
+instead, with the first round's upper floor and the caller's lower
+floor ``τ_L``: every early round re-runs the z-prune and the reductions
+over the whole ``H_q``, and on small subgraphs that costs more than the
+smaller search it buys.  Both kernels read the same decision, so they
+still explore identical rounds.
+
 Every round first prunes with Lemma 9 (``z`` bounds, when a
 :class:`~repro.corenum.bounds.CoreBounds` is supplied — this is what
 upgrades PMBC-OL to PMBC-OL*) and with the one-/two-hop reductions,
@@ -35,6 +43,13 @@ from repro.mbc.branch_bound import BranchBoundConfig, branch_and_bound
 from repro.mbc.reductions import reduce_preserving_maximum
 from repro.objectives import Objective, get_objective
 from repro.obs.trace import current_trace
+
+#: Largest ``|H_q|`` (upper + lower vertices of the extraction) searched
+#: in one round down to the caller's lower floor; larger subgraphs run
+#: the progressive schedule.  Set from the ``hq_sweep`` rows of
+#: ``benchmarks/emit_bench.py`` (docs/algorithms.md, step 3): the
+#: largest swept ``|H_q|`` at which one round won every query.
+ONE_ROUND_MAX_TWOHOP = 1195
 
 
 @dataclass
@@ -96,6 +111,7 @@ def maximum_biclique_local(
     if floor_w < tau_w or local.num_upper < tau_p:
         return best
 
+    one_round = local.num_upper + local.num_lower <= ONE_ROUND_MAX_TWOHOP
     anchored = local.q_local is not None
     bounds = options.bounds if objective.uses_size_bounds else None
     kernel = resolve_kernel(options.kernel)
@@ -104,13 +120,17 @@ def maximum_biclique_local(
         # one packed view — no per-round restricted graphs (see
         # repro.kernel.progressive).  Same rounds, prunes and answer.
         return bitset_progressive(
-            local, tau_p, tau_w, best, best_size, floor_w, options
+            local, tau_p, tau_w, best, best_size, floor_w, one_round, options
         )
     trace = current_trace()
     while True:
         tau_p_k, tau_w_k = objective.round_floors(
             best_size, floor_w, tau_p, tau_w
         )
+        if one_round:
+            # floor_w is still the largest |W| in H_q, so the upper
+            # floor holds for every biclique; search down to tau_w.
+            tau_w_k = tau_w
         if trace.enabled:
             trace.add("progressive_rounds")
             nodes_before = trace.counters.get("bb_nodes", 0)

@@ -59,7 +59,11 @@ class BalancedObjective(Objective):
         ``tau_w``, so that floor must keep its ``floor_w // 2``
         schedule.  The final round (``τ_W^k = tau_w``) is then complete
         for any biclique beating the incumbent, which needs both sides
-        ``>= best + 1 >= τ_P^k``.
+        ``>= best + 1 >= τ_P^k``.  The upper floor holds for every
+        ``floor_w``, which is what lets a single round (two-hop
+        subgraphs up to
+        :data:`~repro.mbc.progressive.ONE_ROUND_MAX_TWOHOP` vertices)
+        pair it with ``tau_w``.
         """
         return max(best_score + 1, tau_p), max(floor_w // 2, tau_w)
 

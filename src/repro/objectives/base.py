@@ -18,7 +18,10 @@ rule:
   implies (balanced answers must satisfy *both* on each side).
 - :meth:`Objective.round_floors` — the progressive-bounding threshold
   schedule: given the incumbent score and the current ``floor_w``,
-  produce the ``(τ_P^k, τ_W^k)`` floors for the next round.
+  produce the ``(τ_P^k, τ_W^k)`` floors for the next round.  Two-hop
+  subgraphs up to :data:`repro.mbc.progressive.ONE_ROUND_MAX_TWOHOP`
+  vertices run one round instead: the first round's upper floor with
+  the caller's lower floor.
 - :meth:`Objective.finalize` — trim/canonicalize the winning biclique
   (a balanced answer is cut down to ``k×k``, keeping the anchor).
 
@@ -105,7 +108,12 @@ class Objective:
         round's lower-side working floor (halved between rounds by the
         driver).  The returned floors must never exclude a biclique
         scoring above ``best_score`` once ``floor_w`` has decayed to
-        ``tau_w`` — that is what makes the schedule exact.
+        ``tau_w`` — that is what makes the schedule exact.  The upper
+        floor must hold for every biclique with at most ``floor_w``
+        lower vertices, whatever the lower floor: on two-hop subgraphs
+        up to :data:`~repro.mbc.progressive.ONE_ROUND_MAX_TWOHOP`
+        vertices the search runs a single round with this upper floor
+        (``floor_w`` the largest lower side in ``H_q``) and ``tau_w``.
         """
         return tau_p, max(floor_w, tau_w)
 

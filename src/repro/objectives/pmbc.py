@@ -36,7 +36,10 @@ class PMBCObjective(Objective):
 
         Any biclique with more than ``best_score`` edges and at most
         ``floor_w`` lower vertices has more than ``best_score/floor_w``
-        upper vertices, so the upper floor is exact for the round.
+        upper vertices, so the upper floor is exact for the round.  It
+        assumes ``|W| <= floor_w``: a single round passes the largest
+        lower side in ``H_q``, never ``tau_w``, for which the floor
+        would cut winners with more than ``tau_w`` lower vertices.
         """
         return max(best_score // floor_w, tau_p), max(floor_w // 2, tau_w)
 

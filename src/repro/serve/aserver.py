@@ -549,7 +549,10 @@ class AsyncPMBCServer:
         ):
             pass
         finally:
-            with contextlib.suppress(Exception):
+            # Shutdown cancels a handler still closing its writer.  End
+            # quietly: on Python 3.11 a handler task that ends cancelled
+            # makes the stream callback log the CancelledError.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

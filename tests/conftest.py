@@ -10,6 +10,11 @@ from repro.graph.generators import (
     power_law_bipartite,
     random_bipartite,
 )
+from repro.mbc import progressive
+
+# pytest >= 8.4 can leave a parameter out of the test id; older
+# versions name it.
+_SHIPPED_ID = getattr(pytest, "HIDDEN_PARAM", "one-round")
 
 
 @pytest.fixture
@@ -36,3 +41,24 @@ def medium_planted_graph():
 def skewed_graph():
     """A heavy-tailed graph exercising degree-skew code paths."""
     return power_law_bipartite(80, 60, 300, exponent=1.4, seed=11)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(progressive.ONE_ROUND_MAX_TWOHOP, id=_SHIPPED_ID),
+        pytest.param(0, id="rounds"),
+    ],
+)
+def search_schedule(request):
+    """Run a module under both search schedules.
+
+    The first parameter keeps the shipped ``ONE_ROUND_MAX_TWOHOP`` (and
+    the test ids as they were); ``0`` sends every search through the
+    progressive rounds, which no test graph here is large enough to
+    reach otherwise.  Use it module-wide with
+    ``pytestmark = pytest.mark.usefixtures("search_schedule")``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(progressive, "ONE_ROUND_MAX_TWOHOP", request.param)
+        yield request.param

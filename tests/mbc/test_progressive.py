@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import pmbc_online
 from repro.corenum.bounds import compute_bounds
 from repro.graph.bipartite import Side
 from repro.graph.generators import complete_bipartite, random_bipartite
 from repro.graph.subgraph import two_hop_subgraph
 from repro.mbc.oracle import personalized_max_brute
 from repro.mbc.progressive import SearchOptions, maximum_biclique_local
+
+#: Every test runs under both search schedules (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("search_schedule")
 
 
 def _local(graph, q=0, side=Side.UPPER):
@@ -56,6 +60,27 @@ def test_matches_oracle_with_bounds():
                 len(expected[0]) * len(expected[1]) if expected else 0
             )
             assert got_size == exp_size
+
+
+def test_seeded_search_matches_oracle():
+    """A greedy seed makes the incumbent non-zero from the first round,
+    so floors raised from it must still let every winner through."""
+    for seed in range(12):
+        graph = random_bipartite(8, 8, 0.45, seed=seed)
+        for side in Side:
+            for q in range(graph.num_vertices_on(side)):
+                for tau_u, tau_l in ((1, 1), (3, 1)):
+                    got = pmbc_online(graph, side, q, tau_u, tau_l)
+                    expected = personalized_max_brute(
+                        graph, side, q, tau_u, tau_l
+                    )
+                    got_size = got.num_edges if got else 0
+                    exp_size = (
+                        len(expected[0]) * len(expected[1])
+                        if expected
+                        else 0
+                    )
+                    assert got_size == exp_size, (seed, side, q, tau_u, tau_l)
 
 
 def test_seed_is_returned_when_optimal(paper_graph):

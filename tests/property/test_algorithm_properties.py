@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -14,6 +15,9 @@ from repro.core import (
 from repro.graph.bipartite import Side
 from repro.graph.builders import from_edges
 from repro.mbc.oracle import personalized_max_brute
+
+#: Every test runs under both search schedules (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("search_schedule")
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),

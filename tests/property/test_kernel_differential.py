@@ -24,6 +24,9 @@ from repro.graph.bipartite import Side
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.kernel import KERNEL_KINDS
 
+#: Every test runs under both search schedules (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("search_schedule")
+
 KERNELS = KERNEL_KINDS
 
 

@@ -19,6 +19,9 @@ from repro.graph.bipartite import Side
 from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.mbb import personalized_balanced_reference
 
+#: Every test runs under both search schedules (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("search_schedule")
+
 
 def _graphs():
     yield "random-dense", random_bipartite(24, 18, 0.35, seed=11)

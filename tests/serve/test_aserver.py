@@ -9,7 +9,9 @@ which is the pairing ``pmbc serve --shards N`` deploys.
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -330,3 +332,30 @@ def test_shutdown_closes_service_and_leaks_no_threads(paper_graph):
         if t.name.startswith(("pmbc-aserve", "pmbc-serve"))
     ]
     assert not leaked, f"leaked threads: {leaked}"
+
+
+def test_shutdown_after_client_close_logs_nothing(paper_graph, caplog):
+    """A handler cancelled at shutdown ends quietly.
+
+    The client closes a keep-alive connection just before shutdown, so
+    the handler is still closing its writer when the loop cancels it.
+    On Python 3.11 a handler task that ends cancelled makes the stream
+    callback log ``Exception in callback ...`` through the ``asyncio``
+    logger.
+    """
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        for __ in range(20):
+            service = PMBCService(
+                paper_graph, config=ServiceConfig(num_workers=1)
+            ).start()
+            server = AsyncPMBCServer(service, port=0).start()
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            conn.close()
+            server.shutdown()
+    errors = [r for r in caplog.records if r.name == "asyncio"]
+    assert not errors, errors[0].getMessage()
