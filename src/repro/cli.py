@@ -746,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="two-hop LRU capacity of the shared engine")
     p_serve.add_argument("--kernel", choices=KERNEL_KINDS, default=None,
                          help="compute kernel for every search the service "
-                              "runs (default: PMBC_KERNEL env or bitset); "
+                              "runs (default: bitset); "
                               "see docs/kernel.md")
     p_serve.add_argument("--adaptive", action="store_true",
                          help="enable the traffic-adaptive partial index "

@@ -36,12 +36,7 @@ from repro.core.construction_star import build_index_star
 from repro.core.naive_index import NaiveIndex, NaiveIndexTimeout, build_naive_index
 from repro.core.skyline import SkylineIndex
 from repro.core.dynamic import DynamicPMBCIndex
-from repro.core.serialize import (
-    load_binary,
-    read_binary,
-    save_binary,
-    write_binary,
-)
+from repro.core.serialize import read_binary, write_binary
 from repro.core.verify import AnswerCheck, check_personalized_answer
 from repro.core.parallel import (
     ScheduleResult,
@@ -75,8 +70,6 @@ __all__ = [
     "build_naive_index",
     "SkylineIndex",
     "DynamicPMBCIndex",
-    "save_binary",
-    "load_binary",
     "write_binary",
     "read_binary",
     "AnswerCheck",

@@ -18,10 +18,11 @@ scheme on top of the static constructors:
   :class:`~repro.corenum.incremental.IncrementalCoreBounds` — a bounded
   peeling cascade per update instead of a from-scratch ``O(δ·m)``
   recomputation — and stay *exact* at every point.
-- For packed kernels the adjacency is additionally mirrored in a
-  :class:`~repro.kernel.DynamicPackedAdjacency`, so affected trees are
-  rebuilt by fused extraction from live patched bit rows — no ``O(m)``
-  graph snapshot per update batch.
+- The adjacency lives in one :class:`~repro.kernel.DynamicPackedAdjacency`
+  on both kernels.  The bitset kernel rebuilds affected trees by fused
+  extraction from its live patched bit rows — no ``O(m)`` graph
+  snapshot per update batch; the set kernel extracts from its
+  incremental snapshot.
 - Deleted edges can strand biclique instances in the array ``A``;
   they become unreachable (every tree referencing a broken biclique is
   in the affected set) and :meth:`DynamicPMBCIndex.compact` garbage
@@ -47,7 +48,7 @@ from repro.corenum.incremental import (
     IncrementalCoreBounds,
 )
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.dynadj import DEFAULT_CHURN_BUDGET, DynamicPackedAdjacency
 
 
@@ -85,9 +86,9 @@ class DynamicPMBCIndex:
         auto-GC; stranded bicliques then accumulate until an explicit
         :meth:`compact`).
     kernel:
-        Compute kernel for tree rebuilds; packed kernels additionally
-        maintain a patched :class:`DynamicPackedAdjacency` so rebuilds
-        skip graph snapshots.
+        Compute kernel for tree rebuilds: ``"bitset"`` extracts straight
+        from the patched :class:`DynamicPackedAdjacency`, ``"set"`` from
+        its snapshot.
     cascade_cap / churn_budget:
         Tuning knobs forwarded to the incremental bounds and the packed
         adjacency respectively.
@@ -107,13 +108,6 @@ class DynamicPMBCIndex:
         churn_budget: int = DEFAULT_CHURN_BUDGET,
         bounds: CoreBounds | None = None,
     ) -> None:
-        self._adj: dict[Side, list[set[int]]] = {
-            side: [
-                set(graph.neighbors(side, v))
-                for v in range(graph.num_vertices_on(side))
-            ]
-            for side in Side
-        }
         self._use_core_bounds = use_core_bounds
         self._kernel = resolve_kernel(kernel)
         self._inc = (
@@ -121,11 +115,7 @@ class DynamicPMBCIndex:
             if use_core_bounds
             else None
         )
-        self._dyn = (
-            DynamicPackedAdjacency(graph, churn_budget=churn_budget)
-            if is_packed_kernel(self._kernel)
-            else None
-        )
+        self._dyn = DynamicPackedAdjacency(graph, churn_budget=churn_budget)
         self.compact_every = compact_every
         self._snapshot: BipartiteGraph | None = None
         self._array = BicliqueArray()
@@ -142,28 +132,23 @@ class DynamicPMBCIndex:
     def graph(self) -> BipartiteGraph:
         """An immutable snapshot of the current graph."""
         if self._snapshot is None:
-            self._snapshot = BipartiteGraph(
-                [sorted(ns) for ns in self._adj[Side.UPPER]],
-                num_lower=len(self._adj[Side.LOWER]),
-            )
+            self._snapshot = self._dyn.snapshot()
         return self._snapshot
 
     def num_vertices_on(self, side: Side) -> int:
         """Current vertex count on ``side`` (including isolated)."""
-        return len(self._adj[side])
+        return self._dyn.num_vertices_on(side)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` (upper id, lower id) currently exists."""
-        if u >= len(self._adj[Side.UPPER]) or v >= len(self._adj[Side.LOWER]):
-            return False
-        return v in self._adj[Side.UPPER][u]
+        return self._dyn.has_edge(u, v)
 
     @property
     def index(self) -> PMBCIndex:
         """The current index as a plain (static) PMBCIndex view."""
         return PMBCIndex(
-            num_upper=len(self._adj[Side.UPPER]),
-            num_lower=len(self._adj[Side.LOWER]),
+            num_upper=self._dyn.num_vertices_on(Side.UPPER),
+            num_lower=self._dyn.num_vertices_on(Side.LOWER),
             trees=self._trees,
             array=self._array,
         )
@@ -186,8 +171,6 @@ class DynamicPMBCIndex:
         Returns the number of search trees rebuilt.  Inserting an
         existing edge is a free, counted no-op (returns 0).
         """
-        if u < 0 or v < 0:
-            raise ValueError(f"vertex ids must be non-negative: ({u}, {v})")
         return self.apply_updates([("insert", u, v)])
 
     def delete_edge(self, u: int, v: int) -> int:
@@ -211,8 +194,22 @@ class DynamicPMBCIndex:
         :attr:`noop_updates` — they trigger no bounds work and no
         rebuilds; a batch of only no-ops leaves the index untouched.
         Core bounds are repaired incrementally per effective update,
-        never recomputed from scratch.
+        never recomputed from scratch.  The whole batch is checked
+        first (a known action and non-negative int ids): a bad update
+        raises :class:`ValueError` before anything changes.
         """
+        updates = list(updates)
+        for action, u, v in updates:
+            if action not in ("insert", "delete"):
+                raise ValueError(f"unknown update action {action!r}")
+            if any(
+                isinstance(x, bool) or not isinstance(x, int) or x < 0
+                for x in (u, v)
+            ):
+                raise ValueError(
+                    f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
+                )
+        dyn = self._dyn
         affected_upper: set[int] = set()
         affected_lower: set[int] = set()
         deletions = 0
@@ -220,32 +217,23 @@ class DynamicPMBCIndex:
             if action == "insert":
                 self._grow(Side.UPPER, u)
                 self._grow(Side.LOWER, v)
-                if v in self._adj[Side.UPPER][u]:
+                if not dyn.insert_edge(u, v):
                     self.noop_updates += 1
                     continue
-                self._adj[Side.UPPER][u].add(v)
-                self._adj[Side.LOWER][v].add(u)
                 if self._inc is not None:
                     self._inc.insert_edge(u, v)
-                if self._dyn is not None:
-                    self._dyn.insert_edge(u, v)
-                affected_upper |= self._adj[Side.LOWER][v]
-                affected_lower |= self._adj[Side.UPPER][u]
-            elif action == "delete":
-                if not self.has_edge(u, v):
+                affected_upper |= dyn.neighbors(Side.LOWER, v)
+                affected_lower |= dyn.neighbors(Side.UPPER, u)
+            else:
+                if not dyn.has_edge(u, v):
                     self.noop_updates += 1
                     continue
-                affected_upper |= self._adj[Side.LOWER][v]
-                affected_lower |= self._adj[Side.UPPER][u]
-                self._adj[Side.UPPER][u].discard(v)
-                self._adj[Side.LOWER][v].discard(u)
+                affected_upper |= dyn.neighbors(Side.LOWER, v)
+                affected_lower |= dyn.neighbors(Side.UPPER, u)
+                dyn.delete_edge(u, v)
                 if self._inc is not None:
                     self._inc.delete_edge(u, v)
-                if self._dyn is not None:
-                    self._dyn.delete_edge(u, v)
                 deletions += 1
-            else:
-                raise ValueError(f"unknown update action {action!r}")
             affected_upper.add(u)
             affected_lower.add(v)
         if not affected_upper and not affected_lower:
@@ -265,11 +253,11 @@ class DynamicPMBCIndex:
     def delete_vertex(self, side: Side, v: int) -> int:
         """Remove all incident edges of ``v`` (the vertex id remains,
         with an empty tree).  Returns the number of trees rebuilt."""
-        if not 0 <= v < len(self._adj[side]):
+        if not 0 <= v < self._dyn.num_vertices_on(side):
             raise ValueError(
                 f"vertex {v} out of range for the {side.value} layer"
             )
-        neighbors = sorted(self._adj[side][v])
+        neighbors = sorted(self._dyn.neighbors(side, v))
         if not neighbors:
             return 0
         if side is Side.UPPER:
@@ -285,7 +273,7 @@ class DynamicPMBCIndex:
 
         Returns ``(new_vertex_id, trees_rebuilt)``.
         """
-        new_id = len(self._adj[side])
+        new_id = self._dyn.num_vertices_on(side)
         if not neighbors:
             self._grow(side, new_id)
             return new_id, 0
@@ -331,24 +319,21 @@ class DynamicPMBCIndex:
         }
         if self._inc is not None:
             out["bounds"] = self._inc.stats()
-        if self._dyn is not None:
-            out["adjacency"] = self._dyn.stats()
+        out["adjacency"] = self._dyn.stats()
         return out
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _grow(self, side: Side, v: int) -> None:
-        if v < len(self._adj[side]):
+        if v < self._dyn.num_vertices_on(side):
             return
         if self._inc is not None:
             self._inc.ensure_vertex(side, v)
-        if self._dyn is not None:
-            self._dyn.ensure_vertex(side, v)
-        while v >= len(self._adj[side]):
-            self._adj[side].append(set())
+        self._dyn.ensure_vertex(side, v)
+        while v >= len(self._trees[side]):
             self._trees[side].append(SearchTree())
-            self._snapshot = None
+        self._snapshot = None
 
     def _current_bounds(self) -> CoreBounds | None:
         if self._inc is None:
@@ -358,9 +343,9 @@ class DynamicPMBCIndex:
     def _rebuild(
         self, affected_upper: set[int], affected_lower: set[int]
     ) -> int:
-        # Packed kernels extract straight from the live patched
+        # The bitset kernel extracts straight from the live patched
         # adjacency; the set kernel still needs a materialized snapshot.
-        if self._dyn is not None:
+        if self._kernel == "bitset":
             graph, extractor = self._dyn, self._dyn.extract
         else:
             graph, extractor = self.graph(), None

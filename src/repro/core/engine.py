@@ -64,9 +64,9 @@ class PMBCQueryEngine:
         Precomputed :class:`CoreBounds` to reuse (skips the offline
         computation regardless of ``use_core_bounds``).
     kernel:
-        Compute kernel (``"bitset"``/``"set"``/``"words"``) for every
-        search this engine runs; resolved **once** at construction
-        (None defers to :func:`repro.kernel.default_kernel`).
+        Compute kernel (``"bitset"``/``"set"``) for every search this
+        engine runs; resolved **once** at construction (None means
+        ``"bitset"``).
     """
 
     def __init__(

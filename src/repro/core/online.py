@@ -16,7 +16,7 @@ from repro.core.result import Biclique
 from repro.corenum.bounds import CoreBounds
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.subgraph import LocalGraph, two_hop_subgraph
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.packed import two_hop_packed
 from repro.mbc.greedy import greedy_biclique
 from repro.mbc.progressive import SearchOptions, maximum_biclique_local
@@ -61,10 +61,8 @@ def pmbc_online(
         constructor.  They are redundant for correctness (any
         constraint-valid candidate obeys them) and only prune search.
     kernel:
-        Compute kernel for the search (``"bitset"``/``"set"``/
-        ``"words"``); None defers to
-        :func:`repro.kernel.default_kernel`.  All kernels return
-        identical answers.
+        Compute kernel for the search (``"bitset"``/``"set"``); None
+        means ``"bitset"``.  Both kernels return identical answers.
     objective:
         Query-family name from the :mod:`repro.objectives` registry
         (default ``"pmbc"``); ``"balanced"`` maximizes ``min(|U|,|L|)``
@@ -261,7 +259,7 @@ def answer_group_local(
     Identical requests — same τ floors and objective — share a single
     progressive search: the first occurrence runs it and duplicates
     reuse its answer, tallied by the ``batch_dedup`` trace counter
-    (fires identically on every kernel).  Distinct requests still share
+    (fires identically on both kernels).  Distinct requests still share
     the extraction's packed view plus the memoized seeds and reduction
     fixpoints of :mod:`repro.kernel.batch`.
     """
@@ -293,12 +291,11 @@ def extract_local(
 ) -> LocalGraph:
     """Extract ``H_q`` via the extractor matched to the compute kernel.
 
-    The packed kernels (``"bitset"``/``"words"``) use the fused
-    extractor (adjacency packed straight into bitmasks, sets deferred);
-    both extractors produce interchangeable ``LocalGraph`` views of the
-    same subgraph.
+    The bitset kernel uses the fused extractor (adjacency packed
+    straight into bitmasks, sets deferred); both extractors produce
+    interchangeable ``LocalGraph`` views of the same subgraph.
     """
-    if is_packed_kernel(kernel):
+    if kernel == "bitset":
         return two_hop_packed(graph, side, q)
     return two_hop_subgraph(graph, side, q)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import warnings
 
 from repro.core.index import (
     BicliqueArray,
@@ -152,29 +151,3 @@ def read_binary(path: str | os.PathLike) -> PMBCIndex:
         trees=trees,
         array=array,
     )
-
-
-# ----------------------------------------------------------------------
-# deprecated aliases (pre-unified persistence API)
-
-
-def save_binary(index: PMBCIndex, path: str | os.PathLike) -> int:
-    """Deprecated alias for ``index.save(path, format="binary")``."""
-    warnings.warn(
-        "save_binary() is deprecated; use "
-        "PMBCIndex.save(path, format='binary')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return write_binary(index, path)
-
-
-def load_binary(path: str | os.PathLike) -> PMBCIndex:
-    """Deprecated alias for :meth:`PMBCIndex.load` (auto-detecting)."""
-    warnings.warn(
-        "load_binary() is deprecated; use PMBCIndex.load(path), which "
-        "auto-detects the format",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read_binary(path)

@@ -15,7 +15,7 @@ prune tally or a round record — it only skips recomputation:
   ladder starts at the same ``floor_w`` and halves).  Each distinct
   round computes once per extraction.
 - :func:`cached_seed` — the greedy seed ``C*_0`` is a pure function of
-  ``(tau_p, tau_w)`` over the extraction (every kernel grows the
+  ``(tau_p, tau_w)`` over the extraction (both kernels grow the
   identical seed), and group members repeat floor pairs constantly.
 
 Both caches live on the extraction they describe (the packed view / the
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from repro.kernel.ops import reduce_alive
 from repro.kernel.packed import PackedLocalGraph
-from repro.kernel.words import reduce_alive_words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.subgraph import LocalGraph
@@ -65,20 +64,13 @@ def seed_reuse_count() -> int:
 
 def cached_reduce(
     packed: PackedLocalGraph,
-    kernel: str,
     tau_p: int,
     tau_w: int,
     alive_u: int,
     alive_l: int,
     use_two_hop: bool,
 ) -> tuple[int, int]:
-    """The reduction fixpoint of one search round, memoized.
-
-    The cache key excludes the kernel: ``"bitset"`` and ``"words"``
-    compute the identical fixpoint (machine-checked by the differential
-    suite), so a mixed-kernel workload on one cached extraction still
-    shares entries.
-    """
+    """The reduction fixpoint of one search round, memoized."""
     global _reduce_reuses
     memo = getattr(packed, "_reduce_memo", None)
     if memo is None:
@@ -89,8 +81,7 @@ def cached_reduce(
     if hit is not None:
         _reduce_reuses += 1
         return hit
-    fn = reduce_alive_words if kernel == "words" else reduce_alive
-    result = fn(
+    result = reduce_alive(
         packed, tau_p, tau_w, alive_u, alive_l, use_two_hop=use_two_hop
     )
     if len(memo) >= REDUCE_CACHE_CAP:
@@ -103,7 +94,7 @@ def cached_seed(local: "LocalGraph", tau_p: int, tau_w: int, compute):
     """The greedy seed for ``(tau_p, tau_w)``, memoized on the extraction.
 
     ``compute`` is a zero-argument callable producing the seed on a
-    miss; the key excludes the kernel because every kernel grows the
+    miss; the key excludes the kernel because both kernels grow the
     identical seed over the same defined candidate order.
     """
     global _seed_reuses

@@ -1,15 +1,15 @@
 """Dynamic full-graph packed adjacency with in-place edge patching.
 
-The packed kernels win their benchmarks by re-encoding adjacency as
+The bitset kernel wins its benchmarks by re-encoding adjacency as
 degree-ordered bitmasks — but a mutating workload would naively pay a
 full re-pack per edge update.  :class:`DynamicPackedAdjacency` keeps
-*global* packed rows (one big-int mask **and** one ``array('Q')``
-word row per vertex, mirroring the bitset and words kernels) live under
-insertions and deletions:
+*global* packed rows (one big-int mask per vertex) live under
+insertions and deletions, beside the neighbor sets that make it the
+one mutable adjacency of the update surfaces on both kernels:
 
 - **Patching** sets/clears one bit in the two incident rows per update
-  — the word rows genuinely in place, the int rows by a single-row
-  rebind — so mutation never re-packs untouched vertices.
+  by a single-row rebind, so mutation never re-packs untouched
+  vertices.
 - **Degree-order bookkeeping**: bit positions are assigned by the same
   stable degree-descending rule as :func:`repro.kernel.packed.pack_local`.
   Updates drift real degrees away from the packed order; the total
@@ -32,7 +32,6 @@ patch-vs-rebuild within any churn budget) and :meth:`packed_bytes`
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 
 from repro.graph.bipartite import BipartiteGraph, Side
@@ -75,7 +74,6 @@ class DynamicPackedAdjacency:
         self._order: dict[Side, list[int]] = {}
         self._rank: dict[Side, list[int]] = {}
         self._bit_rows: dict[Side, list[int]] = {}
-        self._word_rows: dict[Side, list[array]] = {}
         self._packed_deg: dict[Side, list[int]] = {}
         self._edges = sum(len(ns) for ns in self._adj[Side.UPPER])
         # Sorted-row cache for snapshot(): only rows dirtied since the
@@ -99,7 +97,8 @@ class DynamicPackedAdjacency:
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` (upper id, lower id) exists."""
         return (
-            u < len(self._adj[Side.UPPER]) and v in self._adj[Side.UPPER][u]
+            0 <= u < len(self._adj[Side.UPPER])
+            and v in self._adj[Side.UPPER][u]
         )
 
     def degree(self, side: Side, x: int) -> int:
@@ -117,10 +116,6 @@ class DynamicPackedAdjacency:
     def bit_row(self, side: Side, x: int) -> int:
         """The big-int mask row of ``x`` over the opposite bit space."""
         return self._bit_rows[side][x]
-
-    def word_row(self, side: Side, x: int) -> array:
-        """The ``array('Q')`` word row of ``x`` (shared, do not mutate)."""
-        return self._word_rows[side][x]
 
     def stats(self) -> dict:
         """JSON-friendly patching counters."""
@@ -316,7 +311,6 @@ class DynamicPackedAdjacency:
             self._order[side].append(len(self._adj[side]) - 1)
             self._rank[side].append(bit)
             self._bit_rows[side].append(0)
-            self._word_rows[side].append(array("Q"))
             self._packed_deg[side].append(0)
 
     def _patch(self, u: int, v: int, set_bit: bool) -> None:
@@ -328,18 +322,6 @@ class DynamicPackedAdjacency:
         else:
             self._bit_rows[Side.UPPER][u] &= ~(1 << bv)
             self._bit_rows[Side.LOWER][v] &= ~(1 << bu)
-        for side, x, bit in (
-            (Side.UPPER, u, bv),
-            (Side.LOWER, v, bu),
-        ):
-            row = self._word_rows[side][x]
-            idx = bit >> 6
-            while idx >= len(row):
-                row.append(0)
-            if set_bit:
-                row[idx] |= 1 << (bit & 63)
-            else:
-                row[idx] &= ~(1 << (bit & 63)) & 0xFFFFFFFFFFFFFFFF
         self.patch_count += 2
         for side, x in ((Side.UPPER, u), (Side.LOWER, v)):
             deg = len(self._adj[side][x])
@@ -364,19 +346,11 @@ class DynamicPackedAdjacency:
         for side in Side:
             other_rank = self._rank[side.other]
             bit_rows: list[int] = []
-            word_rows: list[array] = []
             for ns in self._adj[side]:
                 mask = 0
                 for w in ns:
                     mask |= 1 << other_rank[w]
                 bit_rows.append(mask)
-                words = array("Q")
-                rest = mask
-                while rest:
-                    words.append(rest & 0xFFFFFFFFFFFFFFFF)
-                    rest >>= 64
-                word_rows.append(words)
             self._bit_rows[side] = bit_rows
-            self._word_rows[side] = word_rows
         self.drift = 0
         self.repack_count += 1

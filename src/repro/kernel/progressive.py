@@ -1,9 +1,7 @@
-"""The packed kernels' progressive-bounding loop (mask-space rounds).
+"""The bitset kernel's progressive-bounding loop (mask-space rounds).
 
 :func:`repro.mbc.progressive.maximum_biclique_local` delegates here when
-the resolved kernel is packed (``"bitset"`` or ``"words"`` — the latter
-swaps the reduction passes for the word-array peeling of
-:mod:`repro.kernel.words`).  The set kernel materializes a
+the resolved kernel is ``"bitset"``.  The set kernel materializes a
 restricted :class:`~repro.graph.subgraph.LocalGraph` per round (Lemma 9
 z-prune, then the one-/two-hop reductions, each rebuilding adjacency
 sets); profiling showed those rebuilds — not the branch-and-bound — to
@@ -32,7 +30,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.graph.subgraph import LocalGraph
-from repro.kernel import resolve_kernel
 from repro.kernel.batch import cached_reduce
 from repro.kernel.bitset import bitset_search
 from repro.kernel.ops import z_alive_masks
@@ -77,7 +74,6 @@ def bitset_progressive(
     q_bit = packed.upper_rank[local.q_local] if anchored else None
     objective = get_objective(options.objective)
     bounds = options.bounds if objective.uses_size_bounds else None
-    kernel = resolve_kernel(options.kernel)
     trace = current_trace()
 
     while True:
@@ -110,7 +106,6 @@ def bitset_progressive(
             before = alive[0].bit_count() + alive[1].bit_count()
             alive_u, alive_l = cached_reduce(
                 packed,
-                kernel,
                 tau_p_k,
                 tau_w_k,
                 alive[0],

@@ -12,19 +12,16 @@ maintaining ``P`` as the exact set of upper vertices adjacent to all of
 - ``R`` — candidate lower vertices still addable;
 - ``X`` — lower vertices excluded earlier (for non-maximality pruning).
 
-Interchangeable compute kernels drive the recursion (selected per
-call, per engine, or process-wide — see :mod:`repro.kernel`):
+Two interchangeable compute kernels drive the recursion (selected per
+call or per engine — see :mod:`repro.kernel`):
 
 - ``"bitset"`` (default) — :mod:`repro.kernel.bitset`: the sets above
   are packed int bitmasks over degree-ordered local ids; intersections
   are big-int ``&`` and sizes are ``int.bit_count()``.
-- ``"words"`` — shares this bitmask recursion; it differs from
-  ``"bitset"`` only in the reduction passes (see
-  :mod:`repro.kernel.words`).
 - ``"set"`` — the original ``frozenset`` recursion in this module, the
   differential-testing reference.
 
-All kernels visit the same nodes, make the same pruning decisions and
+Both kernels visit the same nodes, make the same pruning decisions and
 return identical answers; the property suite asserts this on random
 graphs.
 
@@ -51,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.graph.subgraph import LocalGraph
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.bitset import bitset_search
 from repro.objectives import PMBC_OBJECTIVE, Objective
 from repro.obs.trace import current_trace
@@ -143,11 +140,11 @@ def branch_and_bound(
     ``config.protected_upper`` when that vertex is adjacent to all
     local lower vertices (true for an anchored two-hop subgraph).
 
-    ``kernel`` picks the compute kernel (``"bitset"``/``"set"``/
-    ``"words"``); None defers to :func:`repro.kernel.default_kernel`.
+    ``kernel`` picks the compute kernel (``"bitset"``/``"set"``); None
+    means ``"bitset"``.
     """
     state = _SearchState(initial_best_size)
-    if is_packed_kernel(resolve_kernel(kernel)):
+    if resolve_kernel(kernel) == "bitset":
         bitset_search(local, config, state)
     else:
         p_all = frozenset(range(local.num_upper))

@@ -21,7 +21,7 @@ builds that revisit a floor pair pay the greedy cost once.
 from __future__ import annotations
 
 from repro.graph.subgraph import LocalGraph
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.batch import cached_seed
 from repro.kernel.packed import pack_local
 
@@ -48,7 +48,7 @@ def greedy_biclique(
     # across kernels — so it is memoized on the extraction: batched
     # requests sharing H_q and repeated floor pairs inside one index
     # build grow it once (see repro.kernel.batch).
-    if is_packed_kernel(resolve_kernel(kernel)):
+    if resolve_kernel(kernel) == "bitset":
         return cached_seed(
             local, tau_p, tau_w, lambda: _greedy_bitset(local, tau_p, tau_w)
         )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.corenum.bounds import CoreBounds
 from repro.graph.subgraph import LocalGraph
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.progressive import bitset_progressive
 from repro.mbc.branch_bound import BranchBoundConfig, branch_and_bound
 from repro.mbc.reductions import reduce_preserving_maximum
@@ -72,9 +72,8 @@ class SearchOptions:
     prune_non_maximal: bool = True
 
     kernel: str | None = None
-    """Compute kernel (``"bitset"``/``"set"``/``"words"``) for the
-    reductions and Branch&Bound; None defers to
-    :func:`repro.kernel.default_kernel`."""
+    """Compute kernel (``"bitset"``/``"set"``) for the reductions and
+    Branch&Bound; None means ``"bitset"``."""
 
     objective: Objective | str | None = None
     """Query-family objective (name, instance, or None for the default
@@ -115,8 +114,8 @@ def maximum_biclique_local(
     anchored = local.q_local is not None
     bounds = options.bounds if objective.uses_size_bounds else None
     kernel = resolve_kernel(options.kernel)
-    if is_packed_kernel(kernel):
-        # The packed kernels run the whole round loop in mask space over
+    if kernel == "bitset":
+        # The bitset kernel runs the whole round loop in mask space over
         # one packed view — no per-round restricted graphs (see
         # repro.kernel.progressive).  Same rounds, prunes and answer.
         return bitset_progressive(

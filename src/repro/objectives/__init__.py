@@ -4,8 +4,7 @@ One serving stack, many biclique-like products: an
 :class:`~repro.objectives.base.Objective` plugs a family's scoring,
 bounding, progressive-threshold, and finalization rules into the
 shared progressive-bounding + Branch&Bound machinery, which both
-compute kernels (``"set"``, ``"bitset"`` and ``"words"``) execute
-identically.
+compute kernels (``"set"`` and ``"bitset"``) execute identically.
 
 Built-in families:
 

@@ -86,7 +86,7 @@ from repro.exec.executor import (
 )
 from repro.exec.tasks import WorkerState
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.kernel import KERNEL_KINDS, is_packed_kernel
+from repro.kernel import KERNEL_KINDS
 from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.objectives import get_objective, objective_kinds
 from repro.obs.metrics_bridge import publish_trace, register_search_metrics
@@ -171,10 +171,10 @@ class ServiceConfig:
     cache_size:
         LRU capacity of the shared :class:`PMBCQueryEngine`.
     kernel:
-        Compute kernel (``"bitset"``/``"set"``/``"words"``) for every
-        search the service runs — the shared engine, the process-pool
-        workers and the adaptive builder all inherit it.  ``None``
-        defers to :func:`repro.kernel.default_kernel`.
+        Compute kernel (``"bitset"``/``"set"``) for every search the
+        service runs — the shared engine, the process-pool workers and
+        the adaptive builder all inherit it.  ``None`` means
+        ``"bitset"``.
     use_core_bounds:
         Precompute (α,β)-core bounds for the engine/online fallbacks
         (PMBC-OL* mode).  Disable for faster startup on huge graphs.
@@ -688,7 +688,6 @@ class PMBCService:
         # costs one compute_bounds; read-only deployments never pay it).
         self._updater: IncrementalCoreBounds | None = None
         self._dynadj: DynamicPackedAdjacency | None = None
-        self._mirror: dict[Side, list[set[int]]] | None = None
         self._update_lock = threading.Lock()
         self._exec_degraded = False
         self._fallback_executor: ThreadBackend | None = None
@@ -1511,73 +1510,17 @@ class PMBCService:
     def _ensure_updater(self) -> None:
         """Build the lazy update state (caller holds ``_update_lock``).
 
-        Three mirrors, each created only when its consumer exists: the
-        incremental bounds maintainer (when core bounds are on), the
-        patched packed adjacency (when the kernel is packed — it doubles
-        as the adjacency source of truth), and a plain set mirror
-        otherwise (so presence checks and snapshots never rescan an
-        immutable graph).
+        The patched packed adjacency is the one live adjacency on both
+        kernels (presence checks, affected sets and snapshots read it);
+        the incremental bounds maintainer exists when core bounds are
+        on.
         """
         if self._updater is None and self.config.use_core_bounds:
             self._updater = IncrementalCoreBounds(
                 self.graph, bounds=self.engine.bounds
             )
-        if self._dynadj is None and is_packed_kernel(self.engine.kernel):
+        if self._dynadj is None:
             self._dynadj = DynamicPackedAdjacency(self.graph)
-        if self._dynadj is None and self._mirror is None:
-            self._mirror = {
-                side: [
-                    set(self.graph.neighbors(side, x))
-                    for x in range(self.graph.num_vertices_on(side))
-                ]
-                for side in Side
-            }
-
-    # Live-adjacency helpers: the packed adjacency is the source of
-    # truth when present, the plain set mirror otherwise.
-
-    def _adj_has_edge(self, u: int, v: int) -> bool:
-        if self._dynadj is not None:
-            return self._dynadj.has_edge(u, v)
-        rows = self._mirror[Side.UPPER]
-        return u < len(rows) and v in rows[u]
-
-    def _adj_neighbors(self, side: Side, x: int) -> set[int]:
-        if self._dynadj is not None:
-            return self._dynadj.neighbors(side, x)
-        return self._mirror[side][x]
-
-    def _adj_grow(self, side: Side, x: int) -> None:
-        if self._dynadj is not None:
-            self._dynadj.ensure_vertex(side, x)
-        else:
-            rows = self._mirror[side]
-            while x >= len(rows):
-                rows.append(set())
-        if self._updater is not None:
-            self._updater.ensure_vertex(side, x)
-
-    def _adj_apply(self, action: str, u: int, v: int) -> None:
-        if self._dynadj is not None:
-            if action == "insert":
-                self._dynadj.insert_edge(u, v)
-            else:
-                self._dynadj.delete_edge(u, v)
-            return
-        if action == "insert":
-            self._mirror[Side.UPPER][u].add(v)
-            self._mirror[Side.LOWER][v].add(u)
-        else:
-            self._mirror[Side.UPPER][u].discard(v)
-            self._mirror[Side.LOWER][v].discard(u)
-
-    def _adj_snapshot(self) -> BipartiteGraph:
-        if self._dynadj is not None:
-            return self._dynadj.snapshot()
-        return BipartiteGraph(
-            [sorted(ns) for ns in self._mirror[Side.UPPER]],
-            num_lower=len(self._mirror[Side.LOWER]),
-        )
 
     def _coerce_updates(self, updates) -> list[tuple[str, int, int]]:
         ops: list[tuple[str, int, int]] = []
@@ -1655,13 +1598,14 @@ class PMBCService:
         ops = self._coerce_updates(updates)
         with self._update_lock:
             self._ensure_updater()
+            dyn = self._dynadj
             final: dict[tuple[int, int], str] = {}
             for action, u, v in ops:
                 final[(u, v)] = action
             inserts: list[tuple[int, int]] = []
             deletes: list[tuple[int, int]] = []
             for (u, v), action in final.items():
-                present = self._adj_has_edge(u, v)
+                present = dyn.has_edge(u, v)
                 if action == "insert" and not present:
                     inserts.append((u, v))
                 elif action == "delete" and present:
@@ -1685,9 +1629,7 @@ class PMBCService:
                 )
             cascade = 0
             affected: set[tuple[Side, int]] = set()
-            repacks_before = (
-                self._dynadj.repack_count if self._dynadj is not None else 0
-            )
+            repacks_before = dyn.repack_count
             # Phase 1 — insertions: repair bounds, then patch adjacency.
             # Affected sets read the *post-insert* neighborhoods.  The
             # stairs/bounds refresh is deferred across the whole insert
@@ -1700,15 +1642,17 @@ class PMBCService:
                 else nullcontext()
             ):
                 for u, v in inserts:
-                    self._adj_grow(Side.UPPER, u)
-                    self._adj_grow(Side.LOWER, v)
+                    dyn.ensure_vertex(Side.UPPER, u)
+                    dyn.ensure_vertex(Side.LOWER, v)
                     if self._updater is not None:
+                        self._updater.ensure_vertex(Side.UPPER, u)
+                        self._updater.ensure_vertex(Side.LOWER, v)
                         self._updater.insert_edge(u, v)
                         cascade += self._updater.last_repair.cascade
-                    self._adj_apply("insert", u, v)
+                    dyn.insert_edge(u, v)
                     up, low = edge_affected_sets(
-                        self._adj_neighbors(Side.UPPER, u),
-                        self._adj_neighbors(Side.LOWER, v),
+                        dyn.neighbors(Side.UPPER, u),
+                        dyn.neighbors(Side.LOWER, v),
                         u,
                         v,
                     )
@@ -1719,15 +1663,15 @@ class PMBCService:
             # snapshot must already exclude these edges).
             for u, v in deletes:
                 up, low = edge_affected_sets(
-                    self._adj_neighbors(Side.UPPER, u),
-                    self._adj_neighbors(Side.LOWER, v),
+                    dyn.neighbors(Side.UPPER, u),
+                    dyn.neighbors(Side.LOWER, v),
                     u,
                     v,
                 )
                 affected.update((Side.UPPER, x) for x in up)
                 affected.update((Side.LOWER, x) for x in low)
-                self._adj_apply("delete", u, v)
-            new_graph = self._adj_snapshot()
+                dyn.delete_edge(u, v)
+            new_graph = dyn.snapshot()
             self._swap_graph(new_graph, affected)
             # Phase 2 — deletions repair bounds after the swap (the
             # refresh defers across the phase; mid-phase bounds stay
@@ -1740,11 +1684,7 @@ class PMBCService:
             trees = self._repair_index(affected)
             evicted = self._evict_partial(affected)
             self.last_update_affected = frozenset(affected)
-            repacks = (
-                self._dynadj.repack_count - repacks_before
-                if self._dynadj is not None
-                else 0
-            )
+            repacks = dyn.repack_count - repacks_before
         seconds = time.monotonic() - start
         if inserts:
             self._updates.inc(len(inserts), kind="insert")
@@ -1844,7 +1784,9 @@ class PMBCService:
                 trees.append(SearchTree())
         index.num_upper = self.graph.num_upper
         index.num_lower = self.graph.num_lower
-        if self._dynadj is not None:
+        # The bitset kernel extracts straight from the live patched
+        # adjacency; the set kernel extracts from the new snapshot.
+        if self.engine.kernel == "bitset":
             source, extractor = self._dynadj, self._dynadj.extract
         else:
             source, extractor = self.graph, None

@@ -574,7 +574,7 @@ class ShardedService:
         corrupt it: a maintainer's internal sweep family must observe
         *every* applied update, not just the ones routed to its shard.
         Shard 0's service builds the state lazily; the same maintainer
-        / packed adjacency / mirror / lock objects are then attached to
+        / packed adjacency / lock objects are then attached to
         every other shard, so whichever shard applies a batch advances
         the one true state.
         """
@@ -587,7 +587,6 @@ class ShardedService:
             service = worker.service
             service._updater = first._updater
             service._dynadj = first._dynadj
-            service._mirror = first._mirror
             service._update_lock = first._update_lock
         self._update_state_shared = True
 

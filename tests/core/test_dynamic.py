@@ -8,8 +8,9 @@ import pytest
 
 from repro.core import build_index_star, pmbc_index_query
 from repro.core.dynamic import DynamicPMBCIndex
+from repro.core.online import pmbc_online
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.graph.generators import random_bipartite
+from repro.graph.generators import power_law_bipartite, random_bipartite
 from repro.mbc.oracle import personalized_max_brute
 
 
@@ -265,3 +266,57 @@ def test_without_core_bounds(paper_graph):
     assert dynamic.query(Side.UPPER, 0, 1, 1).shape == (4, 3)
     dynamic.insert_edge(1, 3)
     _assert_matches_fresh_build(dynamic)
+
+
+def test_bad_action_rejects_the_batch_before_any_mutation():
+    graph = power_law_bipartite(30, 25, 120, 1.6, seed=3)
+    dynamic = DynamicPMBCIndex(graph)
+    v = min(graph.neighbors(Side.UPPER, 0))
+    with pytest.raises(ValueError, match="bogus"):
+        dynamic.apply_updates([("delete", 0, v), ("bogus", 1, 1)])
+    assert dynamic.has_edge(0, v)
+    assert dynamic.graph().has_edge(0, v)
+    # An unrelated effective insert rebuilds only its own affected set;
+    # every answer must still match the online search on the graph.
+    dynamic.insert_edge(*next(
+        (u, w)
+        for u in range(1, graph.num_upper)
+        for w in range(graph.num_lower)
+        if not graph.has_edge(u, w)
+    ))
+    current = dynamic.graph()
+    for side in Side:
+        for q in range(current.num_vertices_on(side)):
+            for tau in ((1, 1), (2, 2)):
+                got = dynamic.query(side, q, *tau)
+                want = pmbc_online(current, side, q, *tau)
+                assert (got.num_edges if got else None) == (
+                    want.num_edges if want else None
+                ), (side, q, tau)
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        ("delete", -1, 2),
+        ("delete", 2, -1),
+        ("insert", 0, -1),
+        ("delete", True, 0),
+        ("delete", 0, 1.0),
+    ],
+)
+def test_bad_vertex_ids_are_rejected_before_any_mutation(update):
+    graph = BipartiteGraph([[0, 1], [0, 1], [1, 2]])
+    dynamic = DynamicPMBCIndex(graph)
+    with pytest.raises(ValueError, match="non-negative int"):
+        dynamic.apply_updates([("insert", 0, 2), update])
+    assert sorted(dynamic.graph().edges()) == sorted(graph.edges())
+    assert not dynamic.has_edge(0, 2)
+
+
+def test_delete_edge_rejects_negative_ids():
+    graph = BipartiteGraph([[0, 1], [0, 1], [1, 2]])
+    dynamic = DynamicPMBCIndex(graph)
+    with pytest.raises(ValueError, match="non-negative int"):
+        dynamic.delete_edge(-1, 2)
+    assert dynamic.has_edge(2, 2)

@@ -8,9 +8,7 @@ from repro.core import build_index_star, pmbc_index_query
 from repro.core.index import PMBCIndex
 from repro.core.serialize import (
     IndexFormatError,
-    load_binary,
     read_binary,
-    save_binary,
     write_binary,
 )
 from repro.graph.bipartite import Side
@@ -75,17 +73,6 @@ def test_unified_load_reads_either_format(paper_graph, tmp_path, suffix):
     path = tmp_path / f"index.{suffix}"
     index.save(path)
     loaded = PMBCIndex.load(path)
-    _assert_same_answers(index, loaded, paper_graph)
-
-
-def test_save_binary_alias_warns_and_delegates(paper_graph, tmp_path):
-    index = build_index_star(paper_graph)
-    path = tmp_path / "index.bin"
-    with pytest.warns(DeprecationWarning, match="save_binary"):
-        written = save_binary(index, path)
-    assert written == path.stat().st_size
-    with pytest.warns(DeprecationWarning, match="load_binary"):
-        loaded = load_binary(path)
     _assert_same_answers(index, loaded, paper_graph)
 
 

@@ -116,14 +116,3 @@ def test_personalized_reference_matches_brute_force(seed):
 def test_personalized_reference_isolated_vertex():
     graph = BipartiteGraph([[0], []], num_lower=1)
     assert personalized_balanced_reference(graph, Side.UPPER, 1) is None
-
-
-def test_deprecated_aliases_warn_and_delegate(paper_graph):
-    from repro.mbb import greedy_balanced_biclique, maximum_balanced_biclique
-
-    with pytest.warns(DeprecationWarning, match="balanced_biclique_reference"):
-        exact = maximum_balanced_biclique(paper_graph)
-    assert exact == balanced_biclique_reference(paper_graph)
-    with pytest.warns(DeprecationWarning, match="greedy_balanced_heuristic"):
-        greedy = greedy_balanced_biclique(paper_graph)
-    assert greedy == greedy_balanced_heuristic(paper_graph)

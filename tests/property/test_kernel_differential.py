@@ -1,9 +1,9 @@
-"""Differential suite: the set, bitset and words kernels are interchangeable.
+"""Differential suite: the set and bitset kernels are interchangeable.
 
-The packed kernels (``repro.kernel``) must be pure performance
-substitutions: on any graph, every kernel returns the same ``(U, L)``
+The bitset kernel (``repro.kernel``) must be a pure performance
+substitution: on any graph, both kernels return the same ``(U, L)``
 answer for every query surface (PMBC-OL, PMBC-OL*, the query engine,
-the batch paths) and builds byte-identical serialized indexes.  Seeded
+the batch paths) and build byte-identical serialized indexes.  Seeded
 generator graphs give deterministic cross-kernel coverage over dense,
 sparse and skewed degree shapes.
 """

@@ -54,7 +54,7 @@ def _check_balanced_answer(graph, side, q, tau_u, tau_l, got, expected):
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
 @pytest.mark.parametrize("tau", [(1, 1), (2, 2), (3, 2)])
-@pytest.mark.parametrize("kernel", ["set", "bitset", "words"])
+@pytest.mark.parametrize("kernel", ["set", "bitset"])
 def test_balanced_objective_matches_reference(name, graph, tau, kernel):
     tau_u, tau_l = tau
     for side, q in _queries(graph):
@@ -81,7 +81,7 @@ def test_balanced_star_path_matches_reference(name, graph):
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
 def test_balanced_kernels_agree_exactly(name, graph):
-    """All kernels return identical balanced vertex sets."""
+    """Both kernels return identical balanced vertex sets."""
     for side, q in _queries(graph):
         for tau in (1, 2):
             got = {
@@ -89,9 +89,9 @@ def test_balanced_kernels_agree_exactly(name, graph):
                     graph, side, q, tau, tau,
                     kernel=kernel, objective="balanced",
                 )
-                for kernel in ("set", "bitset", "words")
+                for kernel in ("set", "bitset")
             }
-            assert got["set"] == got["bitset"] == got["words"], (
+            assert got["set"] == got["bitset"], (
                 name, side, q, tau,
             )
 

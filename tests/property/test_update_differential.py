@@ -3,15 +3,24 @@
 The streaming stack's acceptance property: after >= 1000 mixed edge
 updates the incrementally maintained state must be indistinguishable
 from a rebuild — identical (α,β)-core bounds, a byte-identical packed
-adjacency, and identical personalized answers on every kernel, with
-queries interleaved throughout the stream.
+adjacency, and identical personalized answers on both kernels, with
+queries interleaved throughout the stream.  The two update surfaces,
+:class:`~repro.core.dynamic.DynamicPMBCIndex` and
+:meth:`~repro.serve.PMBCService.update_batch`, must also behave
+identically on the ``set`` and ``bitset`` kernels.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from contextlib import ExitStack
+
 import pytest
 
 from repro.bench.workloads import temporal_replay
+from repro.core.construction_star import build_index_star
+from repro.core.dynamic import DynamicPMBCIndex
 from repro.core.online import pmbc_online
 from repro.corenum.bounds import compute_bounds
 from repro.corenum.incremental import IncrementalCoreBounds
@@ -19,6 +28,10 @@ from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.generators import power_law_bipartite
 from repro.kernel import KERNEL_KINDS
 from repro.kernel.dynadj import DynamicPackedAdjacency
+from repro.serve import PMBCService, ServiceConfig
+
+#: Every test runs under both search schedules (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("search_schedule")
 
 NUM_UPDATES = 1000
 
@@ -30,7 +43,7 @@ def _rebuild(upper_adj, num_lower):
 
 
 @pytest.fixture(scope="module")
-def churned():
+def churned(search_schedule):
     """Replay >= 1000 mixed updates through every incremental surface.
 
     Returns ``(inc, dynadj, final_graph, interleaved)`` where
@@ -137,3 +150,115 @@ def test_final_answers_identical_on_every_kernel(churned, kernel):
                 assert _answer_key(maintained) == _answer_key(rebuilt), (
                     kernel, side, q, tau_u, tau_l,
                 )
+
+
+def _update_stream(graph, seed, num_batches=6, batch_size=6):
+    """Seeded batches of mixed inserts and deletes over ``graph``.
+
+    Yields ``(batch, rebuilt)``: the batch and the graph rebuilt from
+    scratch after it.  Inserts may repeat a present edge (a no-op), and
+    the third batch ends with an insert that grows the upper layer.
+    """
+    rng = random.Random(seed)
+    edges = set(graph.edges())
+    num_upper, num_lower = graph.num_upper, graph.num_lower
+    for i in range(num_batches):
+        batch = []
+        for __ in range(batch_size):
+            if edges and rng.random() < 0.45:
+                edge = rng.choice(sorted(edges))
+                edges.discard(edge)
+                batch.append(("delete", *edge))
+            else:
+                edge = (rng.randrange(num_upper), rng.randrange(num_lower))
+                edges.add(edge)
+                batch.append(("insert", *edge))
+        if i == 2:
+            edge = (num_upper, rng.randrange(num_lower))
+            num_upper += 1
+            edges.add(edge)
+            batch.append(("insert", *edge))
+        rows = [[] for __ in range(num_upper)]
+        for u, v in edges:
+            rows[u].append(v)
+        yield batch, BipartiteGraph(rows, num_lower=num_lower)
+
+
+def _sampled_queries(graph):
+    """Every sixth vertex per side plus the last (a grown one), at
+    (1, 1) and (2, 2)."""
+    for side in (Side.UPPER, Side.LOWER):
+        n = graph.num_vertices_on(side)
+        for q in sorted(set(range(0, n, max(1, n // 6))) | {n - 1}):
+            for tau in ((1, 1), (2, 2)):
+                yield side, q, tau
+
+
+def _edge_count(result):
+    return None if result is None else result.num_edges
+
+
+def _assert_kernels_match_rebuild(answer, rebuilt, context):
+    """``answer(kernel, side, q, tau)`` agrees across kernels and with
+    ``pmbc_online`` on the rebuilt graph."""
+    for side, q, tau in _sampled_queries(rebuilt):
+        got = {k: answer(k, side, q, tau) for k in KERNEL_KINDS}
+        assert _answer_key(got["set"]) == _answer_key(got["bitset"]), (
+            context, side, q, tau,
+        )
+        expected = pmbc_online(rebuilt, side, q, *tau)
+        assert _edge_count(got["set"]) == _edge_count(expected), (
+            context, side, q, tau,
+        )
+
+
+def test_dynamic_index_set_and_bitset_agree_under_updates():
+    graph = power_law_bipartite(36, 28, 150, 1.6, seed=41)
+    indexes = {k: DynamicPMBCIndex(graph, kernel=k) for k in KERNEL_KINDS}
+    for step, (batch, rebuilt) in enumerate(_update_stream(graph, seed=8)):
+        rebuilds = {k: idx.apply_updates(batch) for k, idx in indexes.items()}
+        assert rebuilds["set"] == rebuilds["bitset"], step
+        stats = {
+            k: {
+                key: idx.stats()[key]
+                for key in ("trees_rebuilt", "noop_updates", "bounds")
+            }
+            for k, idx in indexes.items()
+        }
+        assert stats["set"] == stats["bitset"], step
+        _assert_kernels_match_rebuild(
+            lambda k, side, q, tau: indexes[k].query(side, q, *tau),
+            rebuilt,
+            step,
+        )
+
+
+def test_service_set_and_bitset_agree_under_updates():
+    graph = power_law_bipartite(36, 28, 150, 1.6, seed=41)
+    with ExitStack() as stack:
+        services = {
+            k: stack.enter_context(
+                PMBCService(
+                    graph,
+                    index=build_index_star(graph),
+                    config=ServiceConfig(kernel=k, num_workers=1),
+                )
+            )
+            for k in KERNEL_KINDS
+        }
+        for step, (batch, rebuilt) in enumerate(
+            _update_stream(graph, seed=8)
+        ):
+            results = {
+                k: dataclasses.replace(svc.update_batch(batch), seconds=0.0)
+                for k, svc in services.items()
+            }
+            assert results["set"] == results["bitset"], step
+            assert results["set"].trees_repaired > 0, step
+            _assert_kernels_match_rebuild(
+                lambda k, side, q, tau: services[k]
+                .query(side, q, *tau)
+                .biclique,
+                rebuilt,
+                step,
+            )
