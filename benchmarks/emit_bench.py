@@ -61,6 +61,11 @@ noisy machines.
 
 Both kernels answer every query in the same process and the result
 sizes are asserted equal — each snapshot doubles as a differential run.
+One more untimed pass per kernel and row runs each query under a
+:class:`~repro.obs.SearchTrace` and asserts that both kernels expand
+the same Branch&Bound nodes (``bb_nodes``) and count the same prunes
+per rule, query for query: observational parity, not just answer
+parity, on every row (smoke or not).
 The plan also carries a ``balanced`` suite: the same Figure 6 datasets
 queried under the pluggable ``"balanced"`` objective
 (:mod:`repro.objectives`), so the snapshot covers the objective ×
@@ -90,8 +95,9 @@ kernel on every smoke row of the fig6 **pmbc** suite and (b) the batched
 path beats per-request execution on every batch row (the CI
 benchmark-smoke gate).  Balanced rows are exempt from the speed gate —
 the balanced family switches the Lemma 9 size bounds off, so the
-bitset advantage is not contractual there.  Cross-kernel answer
-equality is asserted on every row regardless.  The smoke plan also runs one ``hq_sweep`` row on each side
+bitset advantage is not contractual there.  Cross-kernel answer,
+``bb_nodes`` and prune-tally equality is asserted on every row
+regardless.  The smoke plan also runs one ``hq_sweep`` row on each side
 of the constant, as a differential check with no timing gate.
 """
 
@@ -131,6 +137,7 @@ from repro.graph.generators import (  # noqa: E402
     with_planted_blocks,
 )
 from repro.mbc import progressive  # noqa: E402
+from repro.obs import SearchTrace, use_trace  # noqa: E402
 
 #: Same workload scaling as benchmarks/conftest.py.
 NUM_QUERIES = 20
@@ -257,6 +264,20 @@ def run_workload(graph, queries, tau, bounds, kernel, repeats, objective):
     return best, sizes
 
 
+def search_events(graph, queries, tau, bounds, kernel, objective):
+    """Per-query ``(bb_nodes, prune tallies)`` from one untimed traced pass."""
+    events = []
+    for side, q in queries:
+        trace = SearchTrace()
+        with use_trace(trace):
+            pmbc_online(
+                graph, side, q, tau, tau,
+                bounds=bounds, kernel=kernel, objective=objective,
+            )
+        events.append((trace.counters.get("bb_nodes", 0), trace.prunes))
+    return events
+
+
 def latency_stats(latencies: list[float]) -> dict:
     return {
         "p50_ms": round(percentile(latencies, 0.50), 4),
@@ -266,7 +287,11 @@ def latency_stats(latencies: list[float]) -> dict:
 
 
 def bench_case(graph, queries, tau, bounds, repeats, objective="pmbc"):
-    """One (dataset, config) row: both kernels, checked and timed."""
+    """One (dataset, config) row: both kernels, checked and timed.
+
+    Answer sizes and, from an untimed traced pass, per-query
+    ``bb_nodes`` and prune tallies must agree between the kernels.
+    """
     kernels = {}
     sizes_by_kernel = {}
     for kernel in KERNEL_KINDS:
@@ -280,6 +305,19 @@ def bench_case(graph, queries, tau, bounds, repeats, objective="pmbc"):
             "bitset answers diverged from set — differential failure on "
             "this config"
         )
+    events = {
+        kernel: search_events(graph, queries, tau, bounds, kernel, objective)
+        for kernel in KERNEL_KINDS
+    }
+    for (side, q), set_events, bitset_events in zip(
+        queries, events["set"], events["bitset"]
+    ):
+        if set_events != bitset_events:
+            raise AssertionError(
+                f"bitset search events (bb_nodes, prunes) diverged from set "
+                f"on {side.value} {q}: {bitset_events} vs {set_events} — "
+                f"differential failure on this config"
+            )
     speedups = {
         "speedup_mean": round(
             kernels["set"]["mean_ms"] / kernels["bitset"]["mean_ms"], 3
@@ -1367,8 +1405,8 @@ def run_kernel_suite(args) -> int:
         print(
             "smoke ok: bitset >= set on every pmbc smoke config, "
             "batched beats per-request on every batch row; "
-            "kernels agreed on every objective, schedules on every "
-            "hq_sweep row"
+            "kernels agreed on answers, bb_nodes and prunes for every "
+            "objective, schedules on every hq_sweep row"
         )
     return 0
 

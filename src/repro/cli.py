@@ -478,14 +478,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(
-        f"listening on {server.url} "
-        f"(endpoints: /query /query_batch /update /healthz /metrics "
-        f"/stats; "
-        f"Ctrl-C to stop)",
-        flush=True,
-    )
+    # Everything after a successful start is under the handler: a client
+    # that reads the banner may interrupt while it is still being written.
     try:
+        print(
+            f"listening on {server.url} "
+            f"(endpoints: /query /query_batch /update /healthz /metrics "
+            f"/stats; "
+            f"Ctrl-C to stop)",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)

@@ -13,7 +13,7 @@ peeling cascades instead of from-scratch recomputation.
 
 from repro.corenum.peeling import alpha_beta_core, max_delta
 from repro.corenum.decomposition import BicoreDecomposition, decompose
-from repro.corenum.bounds import CoreBounds, compute_bounds
+from repro.corenum.bounds import CoreBounds, LocalCoreBounds, compute_bounds
 from repro.corenum.incremental import IncrementalCoreBounds, UpdateRepairStats
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "BicoreDecomposition",
     "decompose",
     "CoreBounds",
+    "LocalCoreBounds",
     "compute_bounds",
     "IncrementalCoreBounds",
     "UpdateRepairStats",

@@ -28,12 +28,18 @@ a brute-force oracle in the tests.)
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterable, Sequence
+from operator import neg
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.corenum.decomposition import BicoreDecomposition, _sweeps
 from repro.graph.bipartite import BipartiteGraph, Side
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.subgraph import LocalGraph
 
 
 def _own_products(stairs: list[int]) -> list[int]:
@@ -52,6 +58,22 @@ def _suffix_max(values: list[int]) -> list[int]:
     return out
 
 
+def _at_most(prefix: list[int], i: int) -> int:
+    """A prefix row read at "at most ``i`` own-layer vertices"."""
+    if i < 1 or not prefix:
+        return 0
+    return prefix[min(i, len(prefix)) - 1]
+
+
+def _at_least(z: int, suffix: list[int], k: int) -> int:
+    """A suffix row (and its ``z``) read at "at least ``k``"."""
+    if k <= 1:
+        return z
+    if k > len(suffix):
+        return 0
+    return suffix[k - 1]
+
+
 @dataclass
 class CoreBounds:
     """Prefix/suffix biclique-size bounds for every vertex.
@@ -59,7 +81,10 @@ class CoreBounds:
     ``prefix[side][v][i-1]`` bounds bicliques containing ``v`` whose
     own-layer vertex count is at most ``i``; ``suffix[side][v][k-1]``
     bounds those with own-layer count at least ``k``.  ``z[side][v]``
-    is the unrestricted Lemma 9 bound.
+    is the unrestricted Lemma 9 bound.  Prefix rows are running maxima
+    (non-decreasing) and suffix rows suffix maxima (non-increasing),
+    which is what lets :class:`LocalCoreBounds` answer "from which size
+    on does this bound stop beating the incumbent" with one bisection.
     """
 
     z: dict[Side, list[int]]
@@ -72,21 +97,96 @@ class CoreBounds:
 
     def own_side_at_most(self, side: Side, v: int, i: int) -> int:
         """Bound for bicliques containing ``v`` with ≤ ``i`` own-layer vertices."""
-        if i < 1:
-            return 0
-        arr = self.prefix[side][v]
-        if not arr:
-            return 0
-        return arr[min(i, len(arr)) - 1]
+        return _at_most(self.prefix[side][v], i)
 
     def own_side_at_least(self, side: Side, v: int, k: int) -> int:
         """Bound for bicliques containing ``v`` with ≥ ``k`` own-layer vertices."""
-        arr = self.suffix[side][v]
-        if k <= 1:
-            return self.z[side][v]
-        if k > len(arr):
-            return 0
-        return arr[k - 1]
+        return _at_least(self.z[side][v], self.suffix[side][v], k)
+
+    def local_view(self, local: "LocalGraph") -> "LocalCoreBounds":
+        """The bounds Branch&Bound reads for ``local``, in its local ids."""
+        own = local.upper_side
+        return LocalCoreBounds(
+            prefix=self.prefix[own],
+            z=self.z[own.other],
+            suffix=self.suffix[own.other],
+            upper_globals=local.upper_globals,
+            lower_globals=local.lower_globals,
+        )
+
+
+#: :meth:`LocalCoreBounds.prefix_cuts` value of a vertex whose prefix
+#: bound never beats the incumbent, at any size.
+EVERY_SIZE = sys.maxsize
+
+
+@dataclass(frozen=True)
+class LocalCoreBounds:
+    """One search's view of :class:`CoreBounds`, in a local graph's ids.
+
+    Branch&Bound reads two bounds (Section VI-C): the prefix bound of a
+    local upper vertex (its row in ``prefix``, the rows of the local
+    upper side) and the suffix bound of a local lower vertex (``z`` and
+    ``suffix``, the other side's rows); ``upper_globals`` and
+    ``lower_globals`` map local ids to the rows' global ids.  The
+    ``set`` kernel queries the view per vertex (:meth:`upper_at_most`,
+    :meth:`lower_at_least`); the ``bitset`` kernel tabulates it per
+    incumbent (:meth:`prefix_cuts`, :meth:`suffix_stops`).  Both read
+    the same rows, so both take the same decisions.
+
+    Build one per search with :meth:`CoreBounds.local_view`.  The view
+    reads the live rows, which
+    :class:`~repro.corenum.incremental.IncrementalCoreBounds` replaces
+    whole between searches, so nothing derived from it may outlive the
+    search that built it.
+    """
+
+    prefix: list[list[int]]
+    z: list[int]
+    suffix: list[list[int]]
+    upper_globals: Sequence[int]
+    lower_globals: Sequence[int]
+
+    def upper_at_most(self, u: int, i: int) -> int:
+        """Max size of a biclique containing local upper ``u`` with at
+        most ``i`` upper vertices (PMBC-OL* prefix bound)."""
+        return _at_most(self.prefix[self.upper_globals[u]], i)
+
+    def lower_at_least(self, v: int, k: int) -> int:
+        """Max size of a biclique containing local lower ``v`` with at
+        least ``k`` lower vertices (PMBC-OL* suffix bound)."""
+        g = self.lower_globals[v]
+        return _at_least(self.z[g], self.suffix[g], k)
+
+    def prefix_cuts(self, uppers: Iterable[int], best: int) -> list[int]:
+        """Per local upper ``u``: the largest ``i`` with
+        ``upper_at_most(u, i) <= best``, or :data:`EVERY_SIZE`.
+
+        A prefix row is non-decreasing, so the sizes it cuts are exactly
+        ``0..i``; a row whose last entry cannot beat ``best`` cuts them all.
+        """
+        prefix = self.prefix
+        upper_globals = self.upper_globals
+        cuts = []
+        for u in uppers:
+            row = prefix[upper_globals[u]]
+            cut = bisect_right(row, best)
+            cuts.append(cut if cut < len(row) else EVERY_SIZE)
+        return cuts
+
+    def suffix_stops(self, lowers: Iterable[int], best: int) -> list[int]:
+        """Per local lower ``v``: the smallest ``k >= 1`` with
+        ``lower_at_least(v, k) <= best``.
+
+        A suffix row is non-increasing (and 0 past its end), so every
+        ``k`` from there on is cut too.
+        """
+        z = self.z
+        suffix = self.suffix
+        return [
+            1 if z[g] <= best else bisect_left(suffix[g], -best, 1, key=neg) + 1
+            for g in map(self.lower_globals.__getitem__, lowers)
+        ]
 
 
 def vertex_bound_rows(

@@ -11,14 +11,29 @@ same incumbents and accumulate identical per-rule prune tallies; only
 the constant factor differs.
 
 The recursion is a closure over the per-run constants (adjacency masks,
-floors, caps, bound hooks) so the inner loop pays cell loads instead of
+floors, caps, bound tables) so the inner loop pays cell loads instead of
 attribute lookups; incumbent and prune counters live in local variables
 and are written back to the shared search state once per run.
 
-Bound hooks (`lower_bound_at_least` / ``upper_bound_at_most``) are
-defined on *local* vertex ids, so the recursion translates bit
-positions through the packed order arrays at call time; recorded
-bicliques are translated back to local-id frozensets once, at the end.
+The PMBC-OL* prefix/suffix bounds (the config's
+:class:`~repro.corenum.bounds.LocalCoreBounds` view) are read as two
+tables in bit space, built when the run starts and rebuilt only when the
+incumbent improves: per ``|P'|``, the mask of upper bits whose prefix
+bound at that size cannot beat the incumbent (the anchor excluded), and
+per lower bit, the first ``|W|+1`` at which its suffix bound stops
+beating it.  A bound row is monotone, so each vertex has one threshold
+per incumbent, and the recursion makes no per-vertex bound call.  Three
+more constant-factor cuts keep every decision and tally unchanged:
+
+- with dominance pruning off, ``X`` is never grown (it only feeds that
+  rule);
+- on the PMBC-OL* query path (no ``max_w``, no dominance pruning) a
+  branch whose size bound over ``|W| + |R| - idx`` lower vertices
+  cannot beat the incumbent is counted as a size-bound prune before its
+  ``R'`` scan — the scan could only shrink that bound, and no other
+  rule would claim the branch first;
+- recorded bicliques are translated back to local-id frozensets once,
+  at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.graph.subgraph import LocalGraph
-from repro.kernel.packed import pack_local
+from repro.kernel.packed import iter_bits, pack_local
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mbc.branch_bound import BranchBoundConfig, _SearchState
@@ -55,25 +70,24 @@ def bitset_search(
     """
     packed = pack_local(local)
     adj_lower = packed.adj_lower
-    upper_order = packed.upper_order
-    lower_order = packed.lower_order
     tau_p = config.tau_p
     tau_w = config.tau_w
     max_p = config.max_p
     max_w = config.max_w
     prune_non_maximal = config.prune_non_maximal
-    lower_at_least = config.lower_bound_at_least
-    upper_at_most = config.upper_bound_at_most
+    # The size bound over |W| + |R| - idx lower vertices claims a branch
+    # before its R' scan only where no shape cap or dominance check
+    # would claim it first.
+    early_cut = max_w is None and not prune_non_maximal
     # Objective hooks, hoisted like every other per-run constant.  Both
     # kernels call the identical bound methods, so pruning decisions
     # (and thus the visited search tree) stay in lockstep.
     score_of = config.objective.score
     bound_of = config.objective.bound
-    protected_bit = (
-        packed.upper_rank[config.protected_upper]
-        if config.protected_upper is not None
-        else None
-    )
+    if p0 is None:
+        p0 = packed.all_upper
+    if candidates is None:
+        candidates = list(range(packed.num_lower))
 
     best_size = state.best_size
     best_p = best_w = 0
@@ -81,6 +95,33 @@ def bitset_search(
     nodes = 0
     skip_suffix = drop_prefix = skip_tau = 0
     prune_shape = prune_dominated = prune_bound = 0
+
+    # Bound tables (see the module docstring).  Without bounds nothing
+    # is ever cut: no prefix masks, and no |W|+1 reaches a stop.
+    max_size = p0.bit_count()
+    cut = [0] * (max_size + 1)
+    stop = [packed.num_lower + 2] * packed.num_lower
+    view = config.bounds
+    if view is not None:
+        protected = config.protected_upper
+        upper_bits = [
+            b for b in iter_bits(p0) if packed.upper_order[b] != protected
+        ]
+        upper_ids = [packed.upper_order[b] for b in upper_bits]
+        lower_ids = [packed.lower_order[b] for b in candidates]
+
+    def tabulate() -> None:
+        """Rebuild ``cut`` and ``stop`` for the current incumbent."""
+        nonlocal cut
+        cut = [0] * (max_size + 1)
+        for bit, size in zip(upper_bits, view.prefix_cuts(upper_ids, best_size)):
+            if size:
+                cut[min(size, max_size)] |= 1 << bit
+        # An upper cut at size i is cut at every smaller size too.
+        for size in range(max_size - 1, 0, -1):
+            cut[size] |= cut[size + 1]
+        for bit, k in zip(candidates, view.suffix_stops(lower_ids, best_size)):
+            stop[bit] = k
 
     def recurse(p: int, w: int, r: list[int], x: list[int]) -> None:
         nonlocal best_size, best_p, best_w, have_best, nodes
@@ -100,35 +141,43 @@ def bitset_search(
             if score > best_size:
                 best_p, best_w, best_size = p, w, score
                 have_best = True
+                if view is not None:
+                    tabulate()
 
+        # X feeds only the non-maximality rule, so it is kept only with
+        # that rule on: every candidate joins it once its branch is
+        # settled, and later branches of this node exclude it.
         x_current = list(x)
+        # PMBC-OL* candidate skip: v_star would be the (|W|+1)-th lower
+        # vertex of anything recorded below.
+        k = w_count + 1
+        reach = w_count + len(r)
         for idx, v_star in enumerate(r):
-            # PMBC-OL* candidate skip: v_star would be the (|W|+1)-th
-            # lower vertex of anything recorded below.
-            if lower_at_least is not None:
-                if lower_at_least(lower_order[v_star], w_count + 1) <= best_size:
-                    skip_suffix += 1
+            if stop[v_star] <= k:
+                skip_suffix += 1
+                if prune_non_maximal:
                     x_current.append(v_star)
-                    continue
+                continue
 
+            # PMBC-OL* prefix drop: uppers whose bound at |P'| cannot
+            # beat the incumbent (never the anchor).
             p_new = p & adj_lower[v_star]
-            if upper_at_most is not None:
-                limit = p_new.bit_count()
-                mask = p_new
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    bit = low.bit_length() - 1
-                    if (
-                        bit != protected_bit
-                        and upper_at_most(upper_order[bit], limit) <= best_size
-                    ):
-                        p_new ^= low
-                drop_prefix += limit - p_new.bit_count()
             p_size = p_new.bit_count()
+            dropped = p_new & cut[p_size]
+            if dropped:
+                p_new ^= dropped
+                drop_prefix += dropped.bit_count()
+                p_size = p_new.bit_count()
             if p_size < tau_p:
                 skip_tau += 1
-                x_current.append(v_star)
+                if prune_non_maximal:
+                    x_current.append(v_star)
+                continue
+            if early_cut and bound_of(
+                p_size if max_p is None or p_size < max_p else max_p,
+                reach - idx,
+            ) <= best_size:
+                prune_bound += 1
                 continue
 
             w_new = w | (1 << v_star)
@@ -143,11 +192,11 @@ def bitset_search(
             w_new_count = w_new.bit_count()
             if max_w is not None and w_new_count > max_w:
                 prune_shape += 1
-                x_current.append(v_star)
+                if prune_non_maximal:
+                    x_current.append(v_star)
                 continue
 
-            # X feeds only the non-maximality rule; without that rule
-            # every child gets an empty X.
+            # Without the non-maximality rule every child gets an empty X.
             x_new: list[int] = []
             if prune_non_maximal:
                 dominated = False
@@ -175,12 +224,11 @@ def bitset_search(
                 recurse(p_new, w_new, r_new, x_new)
             else:
                 prune_bound += 1
-            x_current.append(v_star)
+            if prune_non_maximal:
+                x_current.append(v_star)
 
-    if p0 is None:
-        p0 = packed.all_upper
-    if candidates is None:
-        candidates = list(range(packed.num_lower))
+    if view is not None:
+        tabulate()
     recurse(p0, 0, candidates, [])
 
     state.nodes += nodes

@@ -18,7 +18,9 @@ one mutable adjacency of the update surfaces on both kernels:
   counter stays 0 while drift remains inside the budget.
 - **Extraction**: :meth:`extract` builds a two-hop
   :class:`~repro.graph.subgraph.LocalGraph` (with the packed view
-  attached) straight from the live adjacency, bit-for-bit identical to
+  attached) straight from the live neighbor sets — the global rows are
+  read only by :meth:`packed_bytes` and :meth:`bit_row` — bit-for-bit
+  identical to
   :func:`repro.kernel.packed.two_hop_packed` on a materialized
   snapshot — so post-update search-tree rebuilds skip the snapshot
   round-trip entirely.
@@ -169,7 +171,8 @@ class DynamicPackedAdjacency:
         q: int,
         kernel: str = "bitset",
     ) -> LocalGraph:
-        """Two-hop ``H_q`` with the packed view attached, from live rows.
+        """Two-hop ``H_q`` with the packed view attached, from the live
+        neighbor sets (the global bit rows are not read).
 
         Signature-compatible with
         :func:`repro.core.online.extract_local` (the ``graph`` argument

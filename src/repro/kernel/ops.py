@@ -12,6 +12,10 @@ Exact parity with the set kernel is load-bearing (the differential suite
 asserts identical answers *and* identical prune tallies), so each pass
 reproduces the set implementation's decision order:
 
+- the Lemma 9 filter compares every vertex's current ``z`` bound with
+  the incumbent, one pass per layer and round, as the set kernel does;
+  nothing derived from the bounds is memoized on the packed view, which
+  the engine keeps across in-place bound repairs;
 - the one-hop fixpoint is the unique greatest fixpoint, so a sweep over
   alive bits equals the set kernel's queue cascade;
 - the two-hop filter kills vertices mid-pass in ascending local-id
@@ -42,63 +46,43 @@ __all__ = [
 ]
 
 
-def _z_index(packed: PackedLocalGraph, bounds: "CoreBounds"):
-    """Per-extraction Lemma 9 lookup: sorted z values + suffix masks.
-
-    Each layer's bits are sorted by ascending z bound; ``suffix[i]`` is
-    the OR of all bits from position ``i`` on, so "every vertex with
-    z bound > best_size" is one ``bisect`` plus one table lookup per
-    round instead of a per-vertex ``z_bound`` call.  Memoized on the
-    packed view, keyed by the bounds object (stable per workload).
-    """
-    cache = getattr(packed, "_z_index", None)
-    if cache is not None and cache[0] is bounds:
-        return cache[1]
-    local = packed.local
-    own_side = local.upper_side
-    upper_globals = local.upper_globals
-    lower_globals = local.lower_globals
-    z_own = bounds.z[own_side]
-    z_other = bounds.z[own_side.other]
-
-    def layer(order, globals_, z_arr):
-        pairs = sorted(
-            [(z_arr[globals_[v]], bit) for bit, v in enumerate(order)]
-        )
-        zs = [z for z, _ in pairs]
-        suffix = [0] * (len(pairs) + 1)
-        for i in range(len(pairs) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | (1 << pairs[i][1])
-        return zs, suffix
-
-    z_q = (
-        z_own[upper_globals[local.q_local]]
-        if local.q_local is not None
-        else None
-    )
-    index = (layer(packed.upper_order, upper_globals, z_own),
-             layer(packed.lower_order, lower_globals, z_other),
-             z_q)
-    packed._z_index = (bounds, index)
-    return index
-
-
 def z_alive_masks(
     packed: PackedLocalGraph,
     bounds: "CoreBounds",
     best_size: int,
     anchored: bool,
 ) -> tuple[int, int] | None:
-    """Lemma 9 alive masks: clear bits whose z bound cannot beat the
-    incumbent.  Returns None when the anchor itself is bounded out."""
+    """Lemma 9 alive masks: clear bits whose current z bound cannot beat
+    the incumbent.  Returns None when the anchor itself is bounded out.
+    """
     if best_size <= 0:
         return packed.all_upper, packed.all_lower
-    (zs_u, suffix_u), (zs_l, suffix_l), z_q = _z_index(packed, bounds)
-    if anchored and z_q <= best_size:
+    local = packed.local
+    own_side = local.upper_side
+    z_upper = bounds.z[own_side]
+    upper_globals = local.upper_globals
+    if anchored and z_upper[upper_globals[local.q_local]] <= best_size:
         return None
-    alive_u = suffix_u[bisect_right(zs_u, best_size)]
-    alive_l = suffix_l[bisect_right(zs_l, best_size)]
-    return alive_u, alive_l
+    return (
+        _z_alive(packed.upper_order, upper_globals, z_upper, best_size),
+        _z_alive(
+            packed.lower_order,
+            local.lower_globals,
+            bounds.z[own_side.other],
+            best_size,
+        ),
+    )
+
+
+def _z_alive(
+    order: list[int], globals_: list[int], z: list[int], best_size: int
+) -> int:
+    """The mask of bits whose vertex's z bound exceeds ``best_size``."""
+    alive = 0
+    for bit, v in enumerate(order):
+        if z[globals_[v]] > best_size:
+            alive |= 1 << bit
+    return alive
 
 
 def one_hop_alive(

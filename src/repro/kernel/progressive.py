@@ -167,7 +167,7 @@ def _run_masked_search(
     """One branch-and-bound run over the alive masks.
 
     Builds the same :class:`BranchBoundConfig` the set path would for
-    its restricted working graph — the bound hooks resolve through the
+    its restricted working graph — the bound view reads the rows of the
     extraction's global ids, which the restricted graph would have
     carried over unchanged — and visits candidates in the set kernel's
     order: stable degree-descending, with degrees counted against the
@@ -176,28 +176,13 @@ def _run_masked_search(
     objective = get_objective(
         objective if objective is not None else options.objective
     )
-    lower_hook = None
-    upper_hook = None
-    if bounds is not None:
-        own_side = local.upper_side
-        other_side = own_side.other
-        lower_globals = local.lower_globals
-        upper_globals = local.upper_globals
-
-        def lower_hook(v: int, k: int) -> int:
-            return bounds.own_side_at_least(other_side, lower_globals[v], k)
-
-        def upper_hook(u: int, i: int) -> int:
-            return bounds.own_side_at_most(own_side, upper_globals[u], i)
-
     config = BranchBoundConfig(
         tau_p=tau_p_k,
         tau_w=tau_w_k,
         max_p=options.max_p,
         max_w=options.max_w,
         prune_non_maximal=options.prune_non_maximal and bounds is None,
-        lower_bound_at_least=lower_hook,
-        upper_bound_at_most=upper_hook,
+        bounds=bounds.local_view(local) if bounds is not None else None,
         protected_upper=local.q_local,
         objective=objective,
     )

@@ -33,10 +33,11 @@ Extensions over the plain procedure, all optional via
   vertices on one layer than its parent's, so recordings beyond the cap
   are skipped and branches whose ``W`` exceeds ``max_l`` are pruned
   (``W`` only grows down a branch).
-- **(α,β)-core bounds of PMBC-OL*** — callbacks that bound the best
-  biclique a vertex can still participate in (Section VI-C): candidates
-  are skipped and upper vertices dropped when their bound cannot beat
-  the incumbent.
+- **(α,β)-core bounds of PMBC-OL*** — the prefix/suffix bounds of
+  Section VI-C, read through a per-search
+  :class:`~repro.corenum.bounds.LocalCoreBounds` view: candidates are
+  skipped and upper vertices dropped when their bound cannot beat the
+  incumbent.
 - **Anchor protection** — the anchored query vertex is never dropped
   from ``P`` by the upper-bound pruning, which guarantees every
   recorded biclique contains it.
@@ -45,8 +46,8 @@ Extensions over the plain procedure, all optional via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
+from repro.corenum.bounds import LocalCoreBounds
 from repro.graph.subgraph import LocalGraph
 from repro.kernel import resolve_kernel
 from repro.kernel.bitset import bitset_search
@@ -73,13 +74,16 @@ class BranchBoundConfig:
     prune_non_maximal: bool = True
     """Prune branches dominated by an excluded vertex (standard MBEA rule)."""
 
-    lower_bound_at_least: Callable[[int, int], int] | None = None
-    """``f(v, k)`` — max size of a biclique containing lower vertex ``v``
-    with at least ``k`` lower vertices (PMBC-OL* suffix bound)."""
-
-    upper_bound_at_most: Callable[[int, int], int] | None = None
-    """``f(u, i)`` — max size of a biclique containing upper vertex ``u``
-    with at most ``i`` upper vertices (PMBC-OL* prefix bound)."""
+    bounds: LocalCoreBounds | None = None
+    """PMBC-OL*'s prefix/suffix bounds in this graph's local ids (build
+    one per search with :meth:`CoreBounds.local_view
+    <repro.corenum.bounds.CoreBounds.local_view>`).  A candidate ``v``
+    is skipped when ``bounds.lower_at_least(v, |W|+1)`` cannot beat the
+    incumbent, and an upper ``u`` is dropped from ``P'`` when
+    ``bounds.upper_at_most(u, |P'|)`` cannot.  The bitset kernel
+    tabulates both per incumbent, which relies on the row shapes
+    :class:`~repro.corenum.bounds.CoreBounds` guarantees: prefix rows
+    non-decreasing, suffix rows non-increasing."""
 
     protected_upper: int | None = None
     """Local upper vertex that must never be pruned (the anchor ``q``)."""
@@ -191,24 +195,25 @@ def _recurse(
     _maybe_record(config, state, p, w)
 
     adj_lower = local.adj_lower
+    bounds = config.bounds
     x_current = list(x)
     for idx, v_star in enumerate(r):
         # PMBC-OL* candidate skip: v_star would be the (|W|+1)-th lower
         # vertex of anything recorded below.
-        if config.lower_bound_at_least is not None:
-            if config.lower_bound_at_least(v_star, len(w) + 1) <= state.best_size:
+        if bounds is not None:
+            if bounds.lower_at_least(v_star, len(w) + 1) <= state.best_size:
                 state.skip_suffix += 1
                 x_current.append(v_star)
                 continue
 
         p_new = p & adj_lower[v_star]
-        if config.upper_bound_at_most is not None:
+        if bounds is not None:
             limit = len(p_new)
             p_new = frozenset(
                 u
                 for u in p_new
                 if u == config.protected_upper
-                or config.upper_bound_at_most(u, limit) > state.best_size
+                or bounds.upper_at_most(u, limit) > state.best_size
             )
             state.drop_prefix += limit - len(p_new)
         if len(p_new) < config.tau_p:

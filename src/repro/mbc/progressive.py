@@ -236,20 +236,6 @@ def _run_branch_bound(
     objective: Objective | None = None,
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     objective = get_objective(objective if objective is not None else options.objective)
-    lower_hook = None
-    upper_hook = None
-    if bounds is not None:
-        own_side = working.upper_side
-        other_side = own_side.other
-        lower_globals = working.lower_globals
-        upper_globals = working.upper_globals
-
-        def lower_hook(v: int, k: int) -> int:
-            return bounds.own_side_at_least(other_side, lower_globals[v], k)
-
-        def upper_hook(u: int, i: int) -> int:
-            return bounds.own_side_at_most(own_side, upper_globals[u], i)
-
     config = BranchBoundConfig(
         tau_p=tau_p_k,
         tau_w=tau_w_k,
@@ -259,8 +245,7 @@ def _run_branch_bound(
         # core bounds make it redundant, and with bounds-based skips it
         # is cheaper to drop it.
         prune_non_maximal=options.prune_non_maximal and bounds is None,
-        lower_bound_at_least=lower_hook,
-        upper_bound_at_most=upper_hook,
+        bounds=bounds.local_view(working) if bounds is not None else None,
         protected_upper=working.q_local,
         objective=objective,
     )

@@ -88,7 +88,12 @@ class Objective:
     def bound(self, max_upper: int, max_lower: int) -> int:
         """Upper bound on :meth:`score` given maximum attainable sides.
 
-        The default is admissible whenever :meth:`score` is monotone in
+        Must be non-decreasing in both arguments: the bitset kernel
+        cuts a branch from a looser side count than the one the set
+        kernel bounds (``|W| + |R| - idx`` before the branch's ``R'``
+        scan, which can only lower it), and both count the same prune
+        only if a looser count never gives a smaller bound.  The
+        default is admissible whenever :meth:`score` is monotone in
         both side sizes (true for every biclique family we know of).
         """
         return self.score(max_upper, max_lower)

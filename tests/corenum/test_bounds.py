@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corenum.bounds import compute_bounds
+from repro.corenum.bounds import CoreBounds, LocalCoreBounds, compute_bounds
+from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import Side
 from repro.graph.generators import complete_bipartite, random_bipartite, star
+from repro.graph.subgraph import two_hop_subgraph
 from repro.mbc.oracle import all_closed_bicliques
 
 
@@ -112,3 +114,66 @@ def test_paper_example_z_values(paper_graph):
         assert bounds.z_bound(Side.UPPER, x) >= best
     for x, best in best_per_vertex_lower.items():
         assert bounds.z_bound(Side.LOWER, x) >= best
+
+
+def _whole_graph_view(bounds, graph, side):
+    """A :class:`LocalCoreBounds` over every vertex, local ids = global."""
+    return LocalCoreBounds(
+        prefix=bounds.prefix[side],
+        z=bounds.z[side.other],
+        suffix=bounds.suffix[side.other],
+        upper_globals=range(graph.num_vertices_on(side)),
+        lower_globals=range(graph.num_vertices_on(side.other)),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_view_thresholds_match_per_vertex_bounds(seed):
+    """prefix_cuts / suffix_stops cut exactly the sizes the per-vertex
+    reads cut, for every vertex, incumbent and size — also on rows an
+    incremental repair wrote and on all-zero rows."""
+    graph = random_bipartite(9, 8, 0.45, seed=seed)
+    live = IncrementalCoreBounds(graph)
+    live.insert_edge(0, 7)
+    live.delete_edge(1, 2)
+    fresh = compute_bounds(graph)
+    zeroed = CoreBounds(
+        z=fresh.z,
+        prefix={s: [[0] * len(r) for r in rows] for s, rows in fresh.prefix.items()},
+        suffix={s: [[0] * len(r) for r in rows] for s, rows in fresh.suffix.items()},
+    )
+    for bounds, g in ((fresh, graph), (live.bounds, live.snapshot()), (zeroed, graph)):
+        for side in Side:
+            view = _whole_graph_view(bounds, g, side)
+            uppers = range(g.num_vertices_on(side))
+            lowers = range(g.num_vertices_on(side.other))
+            top = max(bounds.z[side] + bounds.z[side.other], default=0)
+            for best in range(top + 2):
+                cuts = view.prefix_cuts(uppers, best)
+                for u in uppers:
+                    for i in range(len(view.prefix[u]) + 3):
+                        assert (view.upper_at_most(u, i) <= best) == (
+                            i <= cuts[u]
+                        ), (side, u, i, best)
+                stops = view.suffix_stops(lowers, best)
+                for v in lowers:
+                    for k in range(1, len(view.suffix[v]) + 3):
+                        assert (view.lower_at_least(v, k) <= best) == (
+                            k >= stops[v]
+                        ), (side, v, k, best)
+
+
+def test_view_reads_the_per_vertex_bounds(paper_graph):
+    bounds = compute_bounds(paper_graph)
+    local = two_hop_subgraph(paper_graph, Side.LOWER, 2)
+    view = bounds.local_view(local)
+    for u, g in enumerate(local.upper_globals):
+        for i in range(5):
+            assert view.upper_at_most(u, i) == bounds.own_side_at_most(
+                Side.LOWER, g, i
+            )
+    for v, g in enumerate(local.lower_globals):
+        for k in range(5):
+            assert view.lower_at_least(v, k) == bounds.own_side_at_least(
+                Side.UPPER, g, k
+            )

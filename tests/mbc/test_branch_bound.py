@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.corenum.bounds import LocalCoreBounds
 from repro.graph.bipartite import Side
 from repro.graph.generators import complete_bipartite, random_bipartite
 from repro.graph.subgraph import two_hop_subgraph
@@ -111,27 +112,17 @@ def test_no_maximality_pruning_still_correct(paper_graph):
 
 
 def test_bound_hooks_never_change_answers(paper_graph):
-    """Exact hooks derived from the graph must preserve optimality."""
+    """An exact bound view derived from the graph must preserve optimality."""
     from repro.corenum.bounds import compute_bounds
 
     bounds = compute_bounds(paper_graph)
     for q in range(paper_graph.num_upper):
         local = _local(paper_graph, q)
-        lower_globals = local.lower_globals
-        upper_globals = local.upper_globals
-
-        def lower_hook(v, k):
-            return bounds.own_side_at_least(Side.LOWER, lower_globals[v], k)
-
-        def upper_hook(u, i):
-            return bounds.own_side_at_most(Side.UPPER, upper_globals[u], i)
-
         plain = branch_and_bound(local, BranchBoundConfig())
         hooked = branch_and_bound(
             local,
             BranchBoundConfig(
-                lower_bound_at_least=lower_hook,
-                upper_bound_at_most=upper_hook,
+                bounds=bounds.local_view(local),
                 protected_upper=local.q_local,
                 prune_non_maximal=False,
             ),
@@ -139,3 +130,39 @@ def test_bound_hooks_never_change_answers(paper_graph):
         plain_size = len(plain[0]) * len(plain[1]) if plain else 0
         hooked_size = len(hooked[0]) * len(hooked[1]) if hooked else 0
         assert plain_size == hooked_size
+
+
+class _TablesOnly(LocalCoreBounds):
+    """A bound view whose per-vertex reads fail the test."""
+
+    def upper_at_most(self, u, i):
+        raise AssertionError("per-vertex prefix bound call")
+
+    def lower_at_least(self, v, k):
+        raise AssertionError("per-vertex suffix bound call")
+
+
+def test_bitset_kernel_reads_bounds_only_as_tables(medium_planted_graph):
+    """The bitset recursion tabulates the view: no per-vertex bound call,
+    and the same answer as the set kernel's per-vertex reads."""
+    from repro.corenum.bounds import compute_bounds
+
+    bounds = compute_bounds(medium_planted_graph)
+    for q in range(0, medium_planted_graph.num_upper, 5):
+        local = _local(medium_planted_graph, q)
+        view = bounds.local_view(local)
+        tables_only = _TablesOnly(
+            view.prefix, view.z, view.suffix,
+            view.upper_globals, view.lower_globals,
+        )
+        answers = {}
+        for kernel, bound_view in (("set", view), ("bitset", tables_only)):
+            config = BranchBoundConfig(
+                tau_p=2,
+                tau_w=2,
+                bounds=bound_view,
+                protected_upper=local.q_local,
+                prune_non_maximal=False,
+            )
+            answers[kernel] = branch_and_bound(local, config, kernel=kernel)
+        assert answers["bitset"] == answers["set"], q

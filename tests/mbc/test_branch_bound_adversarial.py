@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.corenum.bounds import compute_bounds
+from repro.corenum.bounds import CoreBounds, compute_bounds
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.builders import from_edges
 from repro.graph.subgraph import two_hop_subgraph
@@ -84,20 +84,10 @@ def test_tau_p_filter_interacts_with_hooks():
     bounds = compute_bounds(graph)
     q = graph.vertex_by_label(Side.UPPER, "a0")
     local = two_hop_subgraph(graph, Side.UPPER, q)
-    lower_globals = local.lower_globals
-    upper_globals = local.upper_globals
-
-    def lower_hook(v, k):
-        return bounds.own_side_at_least(Side.LOWER, lower_globals[v], k)
-
-    def upper_hook(u, i):
-        return bounds.own_side_at_most(Side.UPPER, upper_globals[u], i)
-
     config = BranchBoundConfig(
         tau_p=2,
         tau_w=2,
-        lower_bound_at_least=lower_hook,
-        upper_bound_at_most=upper_hook,
+        bounds=bounds.local_view(local),
         protected_upper=local.q_local,
         prune_non_maximal=False,
     )
@@ -108,16 +98,20 @@ def test_tau_p_filter_interacts_with_hooks():
 
 
 def test_protected_anchor_never_pruned_by_hostile_hook():
-    """Even a hook claiming the anchor is useless must not remove it."""
+    """Even bounds claiming the anchor is useless must not remove it."""
     graph = from_edges([("q", "x"), ("q", "y"), ("a", "x"), ("a", "y")])
     q = graph.vertex_by_label(Side.UPPER, "q")
     local = two_hop_subgraph(graph, Side.UPPER, q)
-
-    def zero_hook(u, i):
-        return 0  # hostile: claims nothing is worth keeping
+    bounds = compute_bounds(graph)
+    # Hostile: all-zero upper rows claim no upper vertex is worth keeping.
+    bounds = CoreBounds(
+        z={**bounds.z, Side.UPPER: [0] * graph.num_upper},
+        prefix={**bounds.prefix, Side.UPPER: [[0, 0]] * graph.num_upper},
+        suffix={**bounds.suffix, Side.UPPER: [[0, 0]] * graph.num_upper},
+    )
 
     config = BranchBoundConfig(
-        upper_bound_at_most=zero_hook,
+        bounds=bounds.local_view(local),
         protected_upper=local.q_local,
         prune_non_maximal=False,
     )

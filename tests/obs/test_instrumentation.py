@@ -13,8 +13,16 @@ from repro.core.construction import build_index
 from repro.core.engine import PMBCQueryEngine
 from repro.core.online import pmbc_online, pmbc_online_star
 from repro.core.query import QueryRequest, pmbc_index_query
+from repro.corenum.bounds import CoreBounds, compute_bounds
+from repro.datasets import load_dataset
 from repro.graph.bipartite import Side
+from repro.graph.subgraph import two_hop_subgraph
+from repro.mbc import progressive
+from repro.mbc.progressive import SearchOptions, maximum_biclique_local
 from repro.obs import SearchTrace, use_trace
+from tests.property.test_kernel_differential import GRAPHS
+
+DIFFERENTIAL_GRAPHS = dict(GRAPHS)
 
 
 def _traced(fn, *args, **kwargs):
@@ -28,6 +36,13 @@ def _same_answer(a, b):
     if a is None or b is None:
         return a is b
     return a.shape == b.shape and a.num_edges == b.num_edges
+
+
+def _key(answer):
+    """An answer's exact vertex sets (a local pair stays as it is)."""
+    if answer is None or isinstance(answer, tuple):
+        return answer
+    return frozenset(answer.upper), frozenset(answer.lower)
 
 
 # ----------------------------------------------------------------------
@@ -159,24 +174,131 @@ def test_kernels_count_identical_events(skewed_graph, query):
         assert set_trace.rounds == trace.rounds, kernel
 
 
-def test_kernels_count_identical_events_with_bounds(medium_planted_graph):
-    """Counter parity holds on the PMBC-OL* path (z-bound prunes live)."""
-    per_kernel = {}
-    for kernel in KERNELS:
-        answer, trace = _traced(
-            pmbc_online_star,
-            medium_planted_graph,
-            Side.UPPER,
-            0,
-            2,
-            2,
-            kernel=kernel,
-        )
-        per_kernel[kernel] = (answer, trace)
-    set_answer, set_trace = per_kernel["set"]
+def _parity_graph(name, request):
+    if name == "Writers":
+        return load_dataset("Writers")
+    if name in DIFFERENTIAL_GRAPHS:
+        return DIFFERENTIAL_GRAPHS[name]
+    return request.getfixturevalue(name)
+
+
+def _zeroed_rows(bounds):
+    """``bounds`` with every prefix and suffix row zeroed (z kept)."""
+    return CoreBounds(
+        z=bounds.z,
+        prefix={s: [[0] * len(r) for r in rows] for s, rows in bounds.prefix.items()},
+        suffix={s: [[0] * len(r) for r in rows] for s, rows in bounds.suffix.items()},
+    )
+
+
+def _star_runs(graph, bounds, tau, mode, kernel):
+    """Traced PMBC-OL* runs, one ``(key, answer, trace)`` per search.
+
+    The query vertices are a stride sample of about
+    :data:`PARITY_PER_SIDE` per side.  ``plain`` queries each one;
+    ``seeded`` hands each query its own answer as ``seed=`` (the search
+    starts from the final incumbent); ``capped`` runs the two Lemma 6
+    children of each answer through ``maximum_biclique_local`` with
+    caps, as index construction does; ``zero-rows`` searches under
+    all-zero prefix/suffix rows, so only anchor protection keeps ``q``
+    in ``P``.
+    """
+    tau_u, tau_l = tau
+    runs = []
+    for side in (Side.UPPER, Side.LOWER):
+        n = graph.num_vertices_on(side)
+        for q in range(0, n, max(1, n // PARITY_PER_SIDE)):
+            if mode == "plain":
+                runs.append(((side, q), *_traced(
+                    pmbc_online_star, graph, side, q, tau_u, tau_l,
+                    bounds=bounds, kernel=kernel,
+                )))
+                continue
+            answer = pmbc_online_star(
+                graph, side, q, tau_u, tau_l, bounds=bounds, kernel="set"
+            )
+            if answer is None:
+                continue
+            if mode == "seeded":
+                runs.append(((side, q), *_traced(
+                    pmbc_online_star, graph, side, q, tau_u, tau_l,
+                    bounds=bounds, seed=answer, kernel=kernel,
+                )))
+            elif mode == "zero-rows":
+                found, trace = _traced(
+                    pmbc_online_star, graph, side, q, tau_u, tau_l,
+                    bounds=_zeroed_rows(bounds), kernel=kernel,
+                )
+                assert q in (found.upper if side is Side.UPPER else found.lower)
+                runs.append(((side, q), found, trace))
+            else:
+                local = two_hop_subgraph(graph, side, q)
+                tau_p, tau_w = (tau_u, tau_l) if side is Side.UPPER else (tau_l, tau_u)
+                num_p, num_w = (
+                    answer.shape if side is Side.UPPER else answer.shape[::-1]
+                )
+                # The two Lemma 6 children: raise one floor, cap the
+                # other side below the answer's.
+                for floors, caps in (
+                    ((num_p + 1, tau_w), (None, num_w - 1)),
+                    ((tau_p, num_w + 1), (num_p - 1, None)),
+                ):
+                    options = SearchOptions(
+                        bounds=bounds, max_p=caps[0], max_w=caps[1], kernel=kernel
+                    )
+                    runs.append(((side, q, floors), *_traced(
+                        maximum_biclique_local, local, *floors, options=options
+                    )))
+    return runs
+
+
+#: Query vertices sampled per side of each parity graph.
+PARITY_PER_SIDE = 24
+PARITY_GRAPHS = (
+    *DIFFERENTIAL_GRAPHS,
+    "skewed_graph",
+    "medium_planted_graph",
+    "Writers",
+)
+PARITY_CASES = [
+    pytest.param(name, "plain", tau, id=f"{name}-{tau[0]}x{tau[1]}")
+    for name in PARITY_GRAPHS
+    for tau in ((1, 1), (2, 2), (3, 2))
+] + [
+    pytest.param(name, mode, (2, 2), id=f"{name}-{mode}")
+    for name in PARITY_GRAPHS
+    for mode in ("seeded", "capped", "zero-rows")
+]
+
+
+@pytest.mark.parametrize("schedule", ["one-round", "rounds"])
+@pytest.mark.parametrize("name,mode,tau", PARITY_CASES)
+def test_kernels_count_identical_events_with_bounds(
+    name, mode, tau, schedule, request, monkeypatch
+):
+    """Counter parity holds on the PMBC-OL* path (core bounds live).
+
+    Sampled query vertices of both sides, under both search schedules:
+    the answers, counters, prune tallies and round records of the two
+    kernels match query for query.
+    """
+    if schedule == "rounds":
+        monkeypatch.setattr(progressive, "ONE_ROUND_MAX_TWOHOP", 0)
+    graph = _parity_graph(name, request)
+    bounds = compute_bounds(graph)
+    per_kernel = {
+        kernel: _star_runs(graph, bounds, tau, mode, kernel)
+        for kernel in KERNELS
+    }
+    reference = per_kernel["set"]
+    assert reference
     for kernel in KERNELS[1:]:
-        answer, trace = per_kernel[kernel]
-        assert _same_answer(set_answer, answer), kernel
-        assert set_trace.counters == trace.counters, kernel
-        assert set_trace.prunes == trace.prunes, kernel
-        assert set_trace.rounds == trace.rounds, kernel
+        assert len(per_kernel[kernel]) == len(reference)
+        for (key, set_answer, set_trace), (__, answer, trace) in zip(
+            reference, per_kernel[kernel]
+        ):
+            context = (kernel, key)
+            assert _key(answer) == _key(set_answer), context
+            assert trace.counters == set_trace.counters, context
+            assert trace.prunes == set_trace.prunes, context
+            assert trace.rounds == set_trace.rounds, context

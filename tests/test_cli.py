@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -295,6 +297,35 @@ def test_serve_end_to_end(edges_file, shards):
         if proc.poll() is None:
             proc.kill()
         proc.communicate()
+
+
+class _InterruptOnListening(io.StringIO):
+    """A stdout that raises KeyboardInterrupt as the banner is written."""
+
+    url = None
+
+    def write(self, text):
+        if text.startswith("listening on "):
+            self.url = text.split()[2]
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_serve_interrupt_while_printing_banner_shuts_down(
+    edges_file, monkeypatch, capsys
+):
+    """Ctrl-C that lands while ``listening on`` is printed stops cleanly."""
+    stdout = _InterruptOnListening()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["serve", edges_file, "--port", "0"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped pmbc serve")
+    assert code == 0
+    assert "shutting down" in capsys.readouterr().err
+    port = urllib.parse.urlsplit(stdout.url).port
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
 def test_binary_index_build_and_query(edges_file, tmp_path, capsys):
