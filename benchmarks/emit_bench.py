@@ -20,13 +20,11 @@ never exceeded the budget, and warm head p50 strictly below cold p50.
 
 **load** merges a ``"load"`` section into ``BENCH_serve.json``: the
 open-loop harness (:mod:`loadgen`) hunts the maximum sustainable
-arrival rate under a p99 latency SLO for two deployments serving the
-same Zipf stream behind the same asyncio front-end
-(:class:`~repro.serve.AsyncPMBCServer`) with the same total worker
-count — one unsharded :class:`~repro.serve.PMBCService` and a
-:class:`repro.shard.ShardedService`.  ``--smoke`` gates on each stack
-finding a sustainable rate with no untyped error at any sustainable
-rate (the CI load-smoke gate).  The section is merged, not
+arrival rate under a p99 latency SLO for a Zipf stream against the
+deployment ``pmbc serve`` runs — one :class:`~repro.serve.PMBCService`
+behind the asyncio front-end (:class:`~repro.serve.AsyncPMBCServer`).
+``--smoke`` gates on finding a sustainable rate with no untyped error
+at any sustainable rate (the CI load-smoke gate).  The section is merged, not
 overwritten: serve-suite results already in the file are preserved,
 and vice versa.
 
@@ -214,15 +212,13 @@ UPDATE_DELETE_FRACTION = 0.45
 #: the steady-state segment whose re-pack counter must stay at zero.
 UPDATE_WARMUP_FRACTION = 0.2
 
-#: Load-suite workload: open-loop Zipf arrivals against two HTTP
-#: stacks on a fig6-medium dataset.  Worker threads are split across
-#: shards so both stacks field the same total compute.
+#: Load-suite workload: open-loop Zipf arrivals against the HTTP stack
+#: on a fig6-medium dataset.
 LOAD_DATASET = "Amazon"
 LOAD_STREAM = 512
 LOAD_EXPONENT = 1.2
 LOAD_TAU = 2
 LOAD_SLO_MS = 250.0
-LOAD_SHARDS = 2
 LOAD_WORKERS = 4
 LOAD_CACHE = 64
 LOAD_DEADLINE = 1.0
@@ -655,15 +651,13 @@ def bench_serve(smoke: bool) -> tuple[dict, list[str]]:
 
 
 def bench_load(smoke: bool) -> tuple[dict, list[str]]:
-    """Open-loop rate hunt for both deployments; ``(body, failures)``.
+    """Open-loop rate hunt over HTTP; ``(body, failures)``.
 
     Drives the same repeating Zipf request stream at fixed arrival
     rates (latency measured from each request's *scheduled* arrival,
     so queue build-up counts — no coordinated omission) and bisects
     for the max rate whose p99 stays under :data:`LOAD_SLO_MS` with at
-    most ~1% rejects/deadline-misses/errors.  Both the unsharded
-    service and the sharded stack (same total workers) run behind the
-    one asyncio front-end, so the rows differ only in sharding.
+    most ~1% rejects/deadline-misses/errors.
     """
     from loadgen import (
         HTTPTarget,
@@ -672,7 +666,6 @@ def bench_load(smoke: bool) -> tuple[dict, list[str]]:
         zipf_request_stream,
     )
     from repro.serve import AsyncPMBCServer, PMBCService, ServiceConfig
-    from repro.shard import ShardedService
 
     graph = load_dataset(LOAD_DATASET)
     requests = zipf_request_stream(
@@ -682,67 +675,36 @@ def bench_load(smoke: bool) -> tuple[dict, list[str]]:
     refine = 1 if smoke else 2
     wall_cap = 45.0 if smoke else 180.0
 
-    def measure(label: str, service) -> dict:
-        with AsyncPMBCServer(service, port=0) as server:
-            target = HTTPTarget(server.url, deadline=LOAD_DEADLINE)
-            best, runs, notes = find_max_sustainable(
-                target,
-                requests,
-                start_qps=LOAD_START_QPS,
-                duration=duration,
-                slo_ms=LOAD_SLO_MS,
-                refine_steps=refine,
-                caps=ResourceCaps(wall_seconds=wall_cap),
-                log=lambda msg: print(f"[{label}]{msg}", flush=True),
-            )
-        return {
-            "max_sustainable_qps": round(best.offered_qps, 2)
-            if best
-            else None,
-            "best": best.to_json() if best else None,
-            "rates": [r.to_json() for r in runs],
-            "notes": notes,
-        }
-
-    single_config = ServiceConfig(
+    config = ServiceConfig(
         num_workers=LOAD_WORKERS,
         max_queue=LOAD_STREAM,
         cache_size=LOAD_CACHE,
         default_deadline=LOAD_DEADLINE,
     )
-    single = PMBCService(graph, config=single_config).start()
-    single_report = measure("single  ", single)
-
-    shard_config = ServiceConfig(
-        num_workers=max(1, LOAD_WORKERS // LOAD_SHARDS),
-        max_queue=max(64, LOAD_STREAM // LOAD_SHARDS),
-        cache_size=LOAD_CACHE,
-        default_deadline=LOAD_DEADLINE,
-    )
-    sharded = ShardedService(graph, LOAD_SHARDS, config=shard_config).start()
-    sharded_report = measure(f"sharded{LOAD_SHARDS}", sharded)
-
-    single_qps = single_report["max_sustainable_qps"]
-    sharded_qps = sharded_report["max_sustainable_qps"]
+    service = PMBCService(graph, config=config).start()
+    with AsyncPMBCServer(service, port=0) as server:
+        target = HTTPTarget(server.url, deadline=LOAD_DEADLINE)
+        best, runs, notes = find_max_sustainable(
+            target,
+            requests,
+            start_qps=LOAD_START_QPS,
+            duration=duration,
+            slo_ms=LOAD_SLO_MS,
+            refine_steps=refine,
+            caps=ResourceCaps(wall_seconds=wall_cap),
+            log=lambda msg: print(f"[single]{msg}", flush=True),
+        )
+    single_qps = round(best.offered_qps, 2) if best else None
+    rates = [r.to_json() for r in runs]
     failures: list[str] = []
-    for name, report in (("single", single_report), ("sharded", sharded_report)):
-        if report["max_sustainable_qps"] is None:
-            failures.append(f"{name} stack found no sustainable rate")
-        for run in report["rates"]:
-            if run["sustainable"] and run["errors"]:
-                failures.append(
-                    f"{name} stack failed {run['errors']} requests as "
-                    f"untyped errors at a sustainable "
-                    f"{run['offered_qps']:g} qps"
-                )
-    summary = {
-        "slo_p99_ms": LOAD_SLO_MS,
-        "single_qps": single_qps,
-        "sharded_qps": sharded_qps,
-        "speedup": round(sharded_qps / single_qps, 3)
-        if single_qps and sharded_qps
-        else None,
-    }
+    if single_qps is None:
+        failures.append("found no sustainable rate")
+    for run in rates:
+        if run["sustainable"] and run["errors"]:
+            failures.append(
+                f"failed {run['errors']} requests as untyped errors at a "
+                f"sustainable {run['offered_qps']:g} qps"
+            )
     body = {
         "workload": {
             "dataset": LOAD_DATASET,
@@ -758,20 +720,15 @@ def bench_load(smoke: bool) -> tuple[dict, list[str]]:
         "configs": {
             "single": {
                 "front_end": "asyncio",
-                "shards": 1,
                 "workers": LOAD_WORKERS,
                 "cache_size": LOAD_CACHE,
-                **single_report,
-            },
-            "sharded": {
-                "front_end": "asyncio",
-                "shards": LOAD_SHARDS,
-                "workers_per_shard": max(1, LOAD_WORKERS // LOAD_SHARDS),
-                "cache_size_per_shard": LOAD_CACHE,
-                **sharded_report,
+                "max_sustainable_qps": single_qps,
+                "best": best.to_json() if best else None,
+                "rates": rates,
+                "notes": notes,
             },
         },
-        "summary": summary,
+        "summary": {"slo_p99_ms": LOAD_SLO_MS, "single_qps": single_qps},
     }
     return body, failures
 
@@ -1114,11 +1071,9 @@ def run_load_suite(args) -> int:
     """Run the open-loop load benchmark; merge into ``BENCH_serve.json``."""
     body, failures = bench_load(args.smoke)
     _merge_serve_snapshot(args.serve_out, "load", body)
-    summary = body["summary"]
     print(
-        f"load {LOAD_DATASET}: single {summary['single_qps'] or '?'} qps "
-        f"vs sharded x{LOAD_SHARDS} {summary['sharded_qps'] or '?'} qps "
-        f"(x{summary['speedup'] or '?'}) under p99<={LOAD_SLO_MS:g}ms",
+        f"load {LOAD_DATASET}: {body['summary']['single_qps'] or '?'} qps "
+        f"under p99<={LOAD_SLO_MS:g}ms",
         flush=True,
     )
     print(f"wrote {args.serve_out}")
@@ -1128,8 +1083,7 @@ def run_load_suite(args) -> int:
                 print(f"SMOKE FAIL (load): {failure}", file=sys.stderr)
             return 1
         print(
-            "smoke ok: both stacks found a sustainable rate with no "
-            "untyped errors"
+            "smoke ok: found a sustainable rate with no untyped errors"
         )
     return 0
 

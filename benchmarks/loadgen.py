@@ -2,9 +2,9 @@
 """An open-loop load harness for the serving stack.
 
 Drives a Zipf query stream at a **fixed arrival rate** against a
-service (a :class:`repro.serve.PMBCService`, a
-:class:`repro.shard.ShardedService`, or a live HTTP endpoint) and
-searches for the maximum sustainable rate under a p99 latency SLO.
+service (an in-process :class:`repro.serve.PMBCService` or a live HTTP
+endpoint) and searches for the maximum sustainable rate under a p99
+latency SLO.
 
 Open loop means arrivals are scheduled by the clock, not by
 completions: request *i* of a run at rate *r* is due at ``start +
@@ -30,7 +30,7 @@ truncated report, not a runaway benchmark.
 Standalone usage (see also ``emit_bench.py --suite load``)::
 
     PYTHONPATH=src python benchmarks/loadgen.py --dataset Amazon \
-        --shards 2 --duration 2 --slo-ms 250
+        --workers 4 --duration 2 --slo-ms 250
 
 With ``--url`` the harness drives a live server over HTTP (one
 connection per in-flight request, stdlib-only asyncio sockets)
@@ -166,11 +166,9 @@ class RateRun:
 class ServiceTarget:
     """Drive an in-process service through its non-blocking admit API.
 
-    Works against anything exposing
-    :meth:`~repro.serve.service.PMBCService.admit` — a plain service or
-    the shard router — which is exactly the admission path the asyncio
-    front-end uses, so in-process numbers reflect the async serving
-    data path minus socket framing.
+    Uses :meth:`~repro.serve.service.PMBCService.admit`, exactly the
+    admission path the asyncio front-end uses, so in-process numbers
+    reflect the async serving data path minus socket framing.
     """
 
     def __init__(self, service, deadline: float) -> None:
@@ -412,12 +410,10 @@ def zipf_request_stream(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dataset", default="Amazon")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="1 = plain service, N>=2 = sharded router")
     parser.add_argument("--workers", type=int, default=4,
-                        help="service worker threads (per shard when sharded)")
+                        help="service worker threads")
     parser.add_argument("--cache-size", type=int, default=64,
-                        help="engine LRU capacity (per shard when sharded)")
+                        help="engine LRU capacity")
     parser.add_argument("--execution", choices=("thread", "process"),
                         default="thread")
     parser.add_argument("--url", default=None,
@@ -462,17 +458,11 @@ def main(argv=None) -> int:
             execution=args.execution,
             default_deadline=args.deadline,
         )
-        if args.shards > 1:
-            from repro.shard import ShardedService
-
-            service = ShardedService(graph, args.shards, config=config)
-        else:
-            service = PMBCService(graph, config=config)
-        service.start()
+        service = PMBCService(graph, config=config).start()
         target = ServiceTarget(service, deadline=args.deadline)
     print(
         f"loadgen: {args.dataset} |E|={graph.num_edges}, "
-        f"{'url=' + args.url if args.url else f'shards={args.shards}'}, "
+        f"{'url=' + args.url if args.url else f'workers={args.workers}'}, "
         f"SLO p99<={args.slo_ms:g}ms, stream={args.stream} zipf "
         f"s={args.exponent:g} tau={args.tau}",
         flush=True,

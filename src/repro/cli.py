@@ -17,11 +17,9 @@ Subcommands:
 - ``pmbc stats <edges-file>`` — graph and index statistics;
 - ``pmbc datasets`` — list the built-in dataset zoo;
 - ``pmbc serve <edges-file> [--index index.bin] [--execution
-  thread|process] [--shards N]`` — run the HTTP query-serving
-  front-end; ``--shards N`` (N >= 2) partitions the vertex space
-  across N shard services behind the asyncio front-end (see
-  :mod:`repro.serve`, :mod:`repro.shard`, :mod:`repro.exec`,
-  docs/serving.md, docs/sharding.md and docs/execution.md);
+  thread|process]`` — run the HTTP query-serving front-end over one
+  service (see :mod:`repro.serve`, :mod:`repro.exec`,
+  docs/serving.md and docs/execution.md);
 - ``pmbc update --url http://HOST:PORT insert:3:7 delete:1:2`` — apply
   a batch of streaming edge updates to a running server via ``POST
   /update`` (incremental bound repair instead of a rebuild; see
@@ -394,78 +392,57 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query-serving front-end (repro.serve)."""
     from repro.serve import AsyncPMBCServer, PMBCService, ServiceConfig
 
+    try:
+        config = ServiceConfig(
+            num_workers=args.workers,
+            max_queue=args.queue_size,
+            default_deadline=args.deadline if args.deadline > 0 else None,
+            cache_size=args.cache_size,
+            use_core_bounds=not args.no_core_bounds,
+            kernel=args.kernel,
+            execution=args.execution,
+            exec_workers=args.exec_workers,
+            adaptive=args.adaptive,
+            index_budget_mb=args.index_budget_mb,
+            hot_threshold=args.hot_threshold,
+            adaptive_persist_path=args.adaptive_persist,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     graph = _load_graph(args.graph, args.konect)
     index = _load_index(args.index) if args.index else None
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    config = ServiceConfig(
-        num_workers=args.workers,
-        max_queue=args.queue_size,
-        default_deadline=args.deadline if args.deadline > 0 else None,
-        cache_size=args.cache_size,
-        use_core_bounds=not args.no_core_bounds,
-        kernel=args.kernel,
-        execution=args.execution,
-        exec_workers=args.exec_workers,
-        adaptive=args.adaptive,
-        index_budget_mb=args.index_budget_mb,
-        hot_threshold=args.hot_threshold,
-        adaptive_persist_path=args.adaptive_persist,
+    service = PMBCService(graph, index=index, config=config).start()
+    chain = " -> ".join(service.backend_names)
+    stats = service.stats()
+    execution = stats["execution"]
+    print(
+        f"pmbc serve: |U|={graph.num_upper} |L|={graph.num_lower} "
+        f"|E|={graph.num_edges}, backends: {chain}, "
+        f"kernel: {stats['kernel']}, "
+        f"execution: {execution['kind']} x{execution['workers']}",
+        flush=True,
     )
-    if args.shards > 1:
-        # Sharded mode: N shard services behind the one front-end.
-        # Config knobs (workers, budget) are per shard; the adaptive
-        # byte budget is divided across shards by the router.
-        from repro.shard import ShardedService
-
-        service = ShardedService(
-            graph, args.shards, index=index, config=config
-        ).start()
-        shard0 = service.shards[0].service
-        chain = " -> ".join(service.backend_names)
-        spans = service.shard_map.spans()
+    coverage = service.index_coverage()
+    prebuilt = coverage["prebuilt"]
+    if prebuilt is not None:
         print(
-            f"pmbc serve: |U|={graph.num_upper} |L|={graph.num_lower} "
-            f"|E|={graph.num_edges}, backends: {chain}, "
-            f"kernel: {shard0.engine.kernel}, "
-            f"shards: {args.shards} x ({config.execution} "
-            f"x{config.exec_workers or config.num_workers}), "
-            f"spans: {spans}",
+            f"index coverage: {prebuilt['fraction']:.1%} of "
+            f"{coverage['total_vertices']} vertices prebuilt "
+            f"({prebuilt['bytes']:,} bytes)",
             flush=True,
         )
-    else:
-        service = PMBCService(graph, index=index, config=config).start()
-        chain = " -> ".join(service.backend_names)
-        stats = service.stats()
-        execution = stats["execution"]
+    if args.adaptive:
+        adaptive_cov = coverage["adaptive"]
+        warmed = service.stats()["adaptive"]["warm_restored"]
         print(
-            f"pmbc serve: |U|={graph.num_upper} |L|={graph.num_lower} "
-            f"|E|={graph.num_edges}, backends: {chain}, "
-            f"kernel: {stats['kernel']}, "
-            f"execution: {execution['kind']} x{execution['workers']}",
+            f"adaptive tier: budget {args.index_budget_mb:g} MiB, "
+            f"hot threshold {args.hot_threshold:g}, "
+            f"{adaptive_cov['vertices']} trees warm "
+            f"({warmed} restored from "
+            f"{args.adaptive_persist or 'nothing'})",
             flush=True,
         )
-        coverage = service.index_coverage()
-        prebuilt = coverage["prebuilt"]
-        if prebuilt is not None:
-            print(
-                f"index coverage: {prebuilt['fraction']:.1%} of "
-                f"{coverage['total_vertices']} vertices prebuilt "
-                f"({prebuilt['bytes']:,} bytes)",
-                flush=True,
-            )
-        if args.adaptive:
-            adaptive_cov = coverage["adaptive"]
-            warmed = service.stats()["adaptive"]["warm_restored"]
-            print(
-                f"adaptive tier: budget {args.index_budget_mb:g} MiB, "
-                f"hot threshold {args.hot_threshold:g}, "
-                f"{adaptive_cov['vertices']} trees warm "
-                f"({warmed} restored from "
-                f"{args.adaptive_persist or 'nothing'})",
-                flush=True,
-            )
     server = AsyncPMBCServer(
         service, host=args.host, port=args.port, verbose=args.verbose
     )
@@ -557,8 +534,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
             f"cascade {payload['cascade']}, "
             f"trees repaired {payload['trees_repaired']}, "
             f"evicted {payload['evicted']}"
-            + (f", shard {payload['shard']}"
-               if payload.get("shard") is not None else "")
         )
     return 0
 
@@ -762,11 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--adaptive-persist", default=None, metavar="PATH",
                          help="persist the hot set here and re-warm from "
                               "it on restart")
-    p_serve.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="partition the vertex space across N shard "
-                              "services behind the HTTP front-end "
-                              "(1 = one unsharded service; workers/budget "
-                              "flags are per shard)")
     p_serve.add_argument("--no-core-bounds", action="store_true",
                          help="skip (α,β)-core bound precomputation")
     p_serve.add_argument("--verbose", action="store_true",

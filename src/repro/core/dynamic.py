@@ -95,7 +95,7 @@ class DynamicPMBCIndex:
     bounds:
         Optional existing :class:`CoreBounds` of ``graph`` to adopt —
         it is then repaired in place, so external holders (engines,
-        shards) observe updates without a reference swap.
+        serving backends) observe updates without a reference swap.
     """
 
     def __init__(

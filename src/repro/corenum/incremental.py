@@ -141,9 +141,9 @@ class IncrementalCoreBounds:
     """Live :class:`CoreBounds` maintained under edge insert/delete.
 
     The :attr:`bounds` object is mutated **in place**, so every holder
-    of the object — engines, serving backends, shards sharing one
-    bounds instance — observes repairs without a reference swap.  Bound
-    rows are replaced whole (one list assignment per vertex), never
+    of the object — engines, serving backends, thread-worker state —
+    observes repairs without a reference swap.  Bound rows are
+    replaced whole (one list assignment per vertex), never
     edited element-wise, so a concurrent reader sees either the old or
     the new row of a vertex.
 

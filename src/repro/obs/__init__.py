@@ -37,7 +37,6 @@ from repro.obs.trace import (
     SearchTrace,
     current_trace,
     new_trace_id,
-    stitch_summaries,
     use_trace,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "current_trace",
     "use_trace",
     "new_trace_id",
-    "stitch_summaries",
     "TraceRing",
     "render_trace",
     "publish_trace",

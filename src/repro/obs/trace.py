@@ -46,7 +46,6 @@ __all__ = [
     "current_trace",
     "use_trace",
     "new_trace_id",
-    "stitch_summaries",
 ]
 
 #: Prune rule -> (paper anchor, one-line description).  The keys are
@@ -329,42 +328,3 @@ def use_trace(trace: SearchTrace | NullTrace) -> Iterator[SearchTrace | NullTrac
         yield trace
     finally:
         _ACTIVE.reset(token)
-
-
-def stitch_summaries(
-    summaries, trace_id: str | None = None, **meta
-) -> dict:
-    """Stitch several trace summaries into one cross-cutting summary.
-
-    The shard router scatters a batch across shards and gathers one
-    ``to_dict()``-shaped summary per sub-batch; this folds them into a
-    single parent summary (counters and prune counts add, rounds and
-    spans append) with per-child provenance under
-    ``meta["stitched_from"]``.  ``None`` entries are skipped, extra
-    keyword arguments become authoritative parent metadata, and the
-    parent's ``elapsed_ms`` is the maximum child elapsed time — the
-    children ran concurrently, so their wall clocks overlap rather
-    than add.
-    """
-    parent = SearchTrace(trace_id=trace_id)
-    stitched_from = []
-    elapsed = 0.0
-    for summary in summaries:
-        if not summary:
-            continue
-        parent.merge_summary(summary)
-        child_meta = summary.get("meta") or {}
-        stitched_from.append(
-            {
-                "trace_id": summary.get("trace_id"),
-                "shard": child_meta.get("shard"),
-                "backend": child_meta.get("backend"),
-                "elapsed_ms": summary.get("elapsed_ms"),
-            }
-        )
-        elapsed = max(elapsed, float(summary.get("elapsed_ms") or 0.0))
-    parent.annotate(**meta)
-    stitched = parent.to_dict()
-    stitched["meta"]["stitched_from"] = stitched_from
-    stitched["elapsed_ms"] = elapsed
-    return stitched

@@ -12,9 +12,7 @@ online search) into a shared, instrumented service:
 - :class:`~repro.serve.aserver.AsyncPMBCServer` — the asyncio HTTP/JSON
   front-end (``/query``, ``/query_batch``, ``/update``, ``/healthz``,
   ``/metrics``, ``/stats``, ``/debug/traces``) multiplexing many open
-  connections on one event loop, over a plain service or the shard
-  router (:class:`~repro.shard.ShardedService`, ``pmbc serve
-  --shards N``);
+  connections on one event loop over one service (``pmbc serve``);
 - :class:`~repro.serve.client.PMBCClient` — stdlib client mapping
   HTTP errors back onto the service exception types;
 - :mod:`~repro.serve.metrics` — dependency-free counters, gauges and

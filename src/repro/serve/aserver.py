@@ -37,11 +37,10 @@ Service errors map to HTTP statuses: invalid request → 400, queue full
 
 :class:`AsyncPMBCServer` holds every connection on one event loop: a
 request is **admitted** to the service without blocking
-(:meth:`~repro.serve.service.PMBCService.admit` /
-:meth:`~repro.shard.ShardedService.admit`), its future is awaited as
-an asyncio future, and the connection costs no thread while the worker
-pool computes.  A lookup-tier hit comes back from admission already
-settled and is answered without any await.  Thousands of idle
+(:meth:`~repro.serve.service.PMBCService.admit`), its future is
+awaited as an asyncio future, and the connection costs no thread while
+the worker pool computes.  A lookup-tier hit comes back from admission
+already settled and is answered without any await.  Thousands of idle
 keep-alive connections are then just loop-registered sockets.
 
 Deadline semantics match the blocking service path exactly: when the
@@ -50,8 +49,10 @@ await times out, the front-end runs the service's settle race
 accounted ``deadline_exceeded`` on the service or the worker's
 just-in-time answer is returned.
 
-The server accepts any object with the ``PMBCService`` request
-surface — a plain service or a :class:`~repro.shard.ShardedService`.
+Bodies are framed by ``Content-Length`` only.  A request carrying
+``Transfer-Encoding`` is answered 501 and a request with conflicting
+``Content-Length`` headers 400, both with the connection closed and no
+body read, so no bytes of one request are ever parsed as another.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ __all__ = [
 #: field is added or its meaning changes; responses echo it so clients
 #: can detect skew.  v2 added ``objective`` and strict unknown-field
 #: rejection (a typo like ``objektive`` is a 400, not a silent default).
-#: v3 added the sharded-serving response metadata: ``shard`` (which
-#: shard answered) and ``degraded`` (the owner was down and the
-#: request was rerouted) on query and batch payloads.
+#: v3 added ``shard`` and ``degraded`` to query and batch payloads for
+#: a sharded deployment that no longer exists: ``shard`` is never
+#: emitted and ``degraded`` is always ``false``.
 #: v4 added ``POST /update`` (streaming edge updates) and its
 #: :class:`~repro.serve.service.UpdateResult`-shaped response payload.
 SCHEMA_VERSION = 4
@@ -265,10 +266,8 @@ def render_result(
         "shared": result.shared,
         "queue_ms": result.queue_seconds * 1e3,
         "total_ms": result.total_seconds * 1e3,
-        "degraded": result.degraded,
+        "degraded": False,
     }
-    if result.shard is not None:
-        payload["shard"] = result.shard
     biclique = result.biclique
     payload["result"] = render_biclique(graph, biclique)
     if result.trace is not None:
@@ -309,7 +308,7 @@ def parse_update_item(item, position: int) -> tuple[str, int, int]:
 
 def render_update_result(result) -> dict:
     """The full ``POST /update`` success payload."""
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "applied": result.applied,
         "noops": result.noops,
@@ -320,9 +319,6 @@ def render_update_result(result) -> dict:
         "cascade": result.cascade,
         "total_ms": result.seconds * 1e3,
     }
-    if result.shard is not None:
-        payload["shard"] = result.shard
-    return payload
 
 
 def render_batch_result(graph, requests, result) -> dict:
@@ -333,7 +329,7 @@ def render_batch_result(graph, requests, result) -> dict:
         "count": len(result),
         "queue_ms": result.queue_seconds * 1e3,
         "total_ms": result.total_seconds * 1e3,
-        "degraded": result.degraded,
+        "degraded": False,
         "results": [
             {
                 "query": request.to_json(),
@@ -342,8 +338,6 @@ def render_batch_result(graph, requests, result) -> dict:
             for request, biclique in zip(requests, result.bicliques)
         ],
     }
-    if result.shard is not None:
-        payload["shard"] = result.shard
     if result.trace is not None:
         payload["trace"] = result.trace
     return payload
@@ -497,6 +491,13 @@ class AsyncPMBCServer:
                     if head is None:
                         break
                     method, target, version, headers = head
+                    if "transfer-encoding" in headers:
+                        raise _HeadError(
+                            501,
+                            "NotImplemented",
+                            "Transfer-Encoding is not supported; "
+                            "frame the body with Content-Length",
+                        )
                     try:
                         length = int(headers.get("content-length") or 0)
                     except ValueError:
@@ -565,7 +566,8 @@ class AsyncPMBCServer:
         A line longer than the reader's limit makes ``readline`` raise
         ``ValueError``; it is answered like ``http.server`` answers
         it — 414 for the request line, 431 for a header line or for
-        more than :data:`_MAX_HEADERS` headers.
+        more than :data:`_MAX_HEADERS` headers.  Repeated
+        ``Content-Length`` headers with different values are a 400.
         """
         try:
             request_line = await reader.readline()
@@ -601,7 +603,12 @@ class AsyncPMBCServer:
                     f"more than {_MAX_HEADERS} headers",
                 )
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HeadError(
+                    400, "BadRequest", "conflicting Content-Length headers"
+                )
+            headers[name] = value
         method, target, version = parts
         return method, target, version, headers
 

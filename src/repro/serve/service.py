@@ -233,6 +233,8 @@ class ServiceConfig:
             )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+        if self.cache_size < 1:
+            raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.default_deadline is not None and not (
             0 < self.default_deadline <= threading.TIMEOUT_MAX
         ):
@@ -294,8 +296,6 @@ class QueryResult:
     queue_seconds: float    # admission -> worker pickup; 0 for tier lookups
     total_seconds: float    # admission -> answer
     trace: dict | None = None   # search trace summary (explain requests)
-    shard: int | None = None    # answering shard (sharded deployments)
-    degraded: bool = False      # rerouted around a down shard
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,6 @@ class BatchResult:
     queue_seconds: float    # admission -> worker pickup; 0 for tier lookups
     total_seconds: float    # admission -> answer
     trace: dict | None = None   # search trace summary (explain requests)
-    shard: int | None = None    # answering shard (single-shard batches)
-    degraded: bool = False      # some sub-batch rerouted around a down shard
 
     def __len__(self) -> int:
         return len(self.bicliques)
@@ -326,7 +324,6 @@ class UpdateResult:
     evicted: int            # partial-index trees dropped
     cascade: int            # vertices touched by bound-repair cascades
     seconds: float          # wall time of the whole batch
-    shard: int | None = None    # applying shard (sharded deployments)
 
 
 @dataclass
@@ -610,11 +607,6 @@ class PMBCService:
         Service tunables (see :class:`ServiceConfig`).
     metrics:
         Optional shared registry; a fresh one is created by default.
-    bounds:
-        Optional precomputed :class:`~repro.core.bounds.CoreBounds`
-        for ``graph``; when given the engine adopts them instead of
-        recomputing.  Sharded deployments (:mod:`repro.shard`) compute
-        the bounds once and hand the same object to every shard.
 
     Use as a context manager, or call :meth:`start` / :meth:`close`::
 
@@ -628,7 +620,6 @@ class PMBCService:
         index: PMBCIndex | None = None,
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        bounds=None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.graph = graph
@@ -638,7 +629,6 @@ class PMBCService:
             use_core_bounds=self.config.use_core_bounds,
             cache_size=self.config.cache_size,
             kernel=self.config.kernel,
-            bounds=bounds,
         )
         exec_workers = self.config.exec_workers or self.config.num_workers
         if self.config.execution == "process":
@@ -691,9 +681,6 @@ class PMBCService:
         self._update_lock = threading.Lock()
         self._exec_degraded = False
         self._fallback_executor: ThreadBackend | None = None
-        #: ``(side, vertex)`` keys the most recent update batch affected
-        #: (the shard router fans them to the other shards' warm state).
-        self.last_update_affected: frozenset[tuple[Side, int]] = frozenset()
 
         self._prebuilt_coverage: dict | None = None
         if index is not None:
@@ -1098,9 +1085,9 @@ class PMBCService:
         """Admit a request and return a :class:`Submission` handle.
 
         Like :meth:`submit`, but the handle additionally exposes
-        :meth:`Submission.expire` so non-blocking callers (the asyncio
-        front-end, the shard router) can run the same deadline settle
-        race :meth:`query` runs internally.
+        :meth:`Submission.expire` so a non-blocking caller (the asyncio
+        front-end) can run the same deadline settle race :meth:`query`
+        runs internally.
         """
         request = self._admit(side, vertex, tau_u, tau_l, deadline, explain)
         budget = self.config.default_deadline if deadline is None else deadline
@@ -1683,7 +1670,6 @@ class PMBCService:
                         cascade += self._updater.last_repair.cascade
             trees = self._repair_index(affected)
             evicted = self._evict_partial(affected)
-            self.last_update_affected = frozenset(affected)
             repacks = dyn.repack_count - repacks_before
         seconds = time.monotonic() - start
         if inserts:
@@ -1710,27 +1696,6 @@ class PMBCService:
             cascade=cascade,
             seconds=seconds,
         )
-
-    def adopt_update(
-        self, graph: BipartiteGraph, affected
-    ) -> int:
-        """Adopt an update another shard already applied.
-
-        Sharded deployments share one bounds object, one mounted index
-        and one update state across shards
-        (:meth:`repro.shard.ShardedService.update_batch`), so the
-        applying shard has already repaired them; every *other* shard
-        only swaps its serving graph and drops its own warm state for
-        the affected keys.  Returns the number of partial-index trees
-        evicted here.
-        """
-        with self._update_lock:
-            keys = set(affected)
-            self._swap_graph(graph, keys)
-            evicted = self._evict_partial(keys)
-        if evicted:
-            self._update_evictions.inc(evicted)
-        return evicted
 
     def _swap_graph(
         self, graph: BipartiteGraph, affected: set[tuple[Side, int]]

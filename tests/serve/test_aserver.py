@@ -1,10 +1,9 @@
-"""End-to-end tests of the HTTP front-end: codec, request heads, shards.
+"""End-to-end tests of the HTTP front-end: codec, request heads, routes.
 
-A real :class:`AsyncPMBCServer` on an ephemeral port, exercised through
+A real :class:`AsyncPMBCServer` over one :class:`PMBCService` (the
+deployment ``pmbc serve`` runs) on an ephemeral port, exercised through
 :class:`repro.serve.client.PMBCClient`, raw ``urllib`` calls and raw
-sockets — over a plain service (the ``pmbc serve`` default, whose full
-HTTP surface ``test_server.py`` covers) and over the shard router,
-which is the pairing ``pmbc serve --shards N`` deploys.
+sockets.  ``test_server.py`` covers the rest of its HTTP surface.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import re
 import socket
 import threading
 import urllib.error
@@ -30,12 +30,11 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.serve.aserver import SCHEMA_VERSION
-from repro.shard import ShardedService
 
 
 @pytest.fixture()
 def plain(paper_graph):
-    """A server over one unsharded service (the ``pmbc serve`` default)."""
+    """A server over one service, the deployment ``pmbc serve`` runs."""
     service = PMBCService(
         paper_graph, config=ServiceConfig(num_workers=2)
     ).start()
@@ -44,16 +43,9 @@ def plain(paper_graph):
 
 
 @pytest.fixture()
-def async_sharded(paper_graph):
-    """An async server over a 2-shard router on an ephemeral port."""
-    service = ShardedService(
-        paper_graph, 2, config=ServiceConfig(num_workers=2, max_queue=32)
-    ).start()
-    server = AsyncPMBCServer(service, port=0).start()
-    try:
-        yield paper_graph, server, PMBCClient(server.url, timeout=10)
-    finally:
-        server.shutdown()
+def client(plain):
+    """A stdlib client of the ``plain`` server."""
+    return PMBCClient(plain.url, timeout=10)
 
 
 # ----------------------------------------------------------------------
@@ -185,49 +177,71 @@ def test_expect_100_continue_gets_interim_response(plain):
     assert payload["result"] is not None
 
 
+#: A complete ``POST /update`` that deletes edge (0, 0), to hide in a body.
+_UPDATE_BODY = b'{"updates": [{"action": "delete", "u": 0, "v": 0}]}'
+_SMUGGLED = (
+    b"POST /update HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+    b"Content-Length: %d\r\n\r\n" % len(_UPDATE_BODY)
+) + _UPDATE_BODY
+_CHUNK_SIZE_LINE = b"%x\r\n" % len(_SMUGGLED)
+_CHUNKED = _CHUNK_SIZE_LINE + _SMUGGLED + b"\r\n0\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    ("data", "status"),
+    [
+        (
+            # Content-Length covers only the chunk-size line.
+            b"POST /healthz-probe HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\nTransfer-Encoding: chunked\r\n\r\n"
+            % len(_CHUNK_SIZE_LINE)
+            + _CHUNKED,
+            501,
+        ),
+        (
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\nContent-Length: 0\r\n\r\n"
+            % len(_SMUGGLED)
+            + _SMUGGLED,
+            400,
+        ),
+        (
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n" + _CHUNKED,
+            501,
+        ),
+    ],
+    ids=["chunked-with-length", "conflicting-lengths", "chunked-only"],
+)
+def test_body_framing_never_runs_a_second_request(plain, data, status):
+    """A body framed two ways is refused whole, never re-parsed.
+
+    Each request hides a complete ``POST /update`` where a server that
+    framed the body differently would read a second request.
+    """
+    reply = _exchange(plain, data)  # returns once the server closes
+    statuses = re.findall(rb"(?m)^HTTP/1\.1 (\d{3}) ", reply)
+    assert statuses == [str(status).encode()], reply
+    assert plain.service.stats()["updates"]["batches"] == 0
+
+
 # ----------------------------------------------------------------------
-# the shard router (pmbc serve --shards N)
+# routes and payloads
 
 
-def test_healthz_and_schema_version(async_sharded):
-    __, __, client = async_sharded
+def test_healthz_and_schema_version(client):
     assert client.healthz()
     payload = client.query(side="upper", vertex=0)
     assert payload["schema_version"] == SCHEMA_VERSION
 
 
-def test_query_carries_shard_and_degraded(async_sharded):
-    graph, server, client = async_sharded
-    service = server.service
-    payload = client.query(side="upper", vertex=0, tau_u=2, tau_l=2)
-    assert payload["result"] is not None
-    assert payload["shard"] == service.shard_map.shard_of(Side.UPPER, 0)
-    assert payload["degraded"] is False
-
-
-def test_query_get_matches_post(async_sharded):
-    __, __, client = async_sharded
+def test_query_get_matches_post(client):
     get = client.query_get(side="upper", vertex=1, tau_u=1, tau_l=1)
     post = client.query(side="upper", vertex=1, tau_u=1, tau_l=1)
     assert get["result"] == post["result"]
 
 
-def test_batch_splits_across_shards(async_sharded):
-    graph, __, client = async_sharded
-    items = [
-        {"side": "upper", "vertex": 0},
-        {"side": "upper", "vertex": 0, "tau_u": 2, "tau_l": 2},
-        {"side": "lower", "vertex": graph.num_lower - 1},
-        {"side": "upper", "vertex": graph.num_upper - 1},
-    ]
-    payload = client.query_batch(items)
-    assert len(payload["results"]) == len(items)
-    assert payload["degraded"] is False
-    assert all(r["result"] is not None for r in payload["results"])
-
-
-def test_verify_and_explain_round_trip(async_sharded):
-    __, __, client = async_sharded
+def test_verify_and_explain_round_trip(client):
     payload = client.query(
         side="upper", vertex=0, tau_u=1, tau_l=1, verify=True, explain=True
     )
@@ -235,27 +249,16 @@ def test_verify_and_explain_round_trip(async_sharded):
     assert payload["trace"]["trace_id"]
 
 
-def test_unknown_field_maps_to_400(async_sharded):
-    __, __, client = async_sharded
+def test_unknown_field_maps_to_400(client):
     with pytest.raises(InvalidRequestError):
         client.query_get(side="upper", vertex=0, bogus=1)
     with pytest.raises(InvalidRequestError):
         client.query(side="sideways", vertex=0)
 
 
-def test_unknown_route_is_404(async_sharded):
-    __, server, __ = async_sharded
-    request = urllib.request.Request(server.url + "/nope")
-    with pytest.raises(urllib.error.HTTPError) as info:
-        urllib.request.urlopen(request, timeout=10)
-    assert info.value.code == 404
-    assert json.loads(info.value.read())["error"] == "NotFound"
-
-
-def test_method_not_allowed_is_405(async_sharded):
-    __, server, __ = async_sharded
+def test_method_not_allowed_is_405(plain):
     request = urllib.request.Request(
-        server.url + "/healthz", data=b"{}", method="POST"
+        plain.url + "/healthz", data=b"{}", method="POST"
     )
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
@@ -263,19 +266,7 @@ def test_method_not_allowed_is_405(async_sharded):
     info.value.close()
 
 
-def test_metrics_and_stats_surface_shard_series(async_sharded):
-    __, __, client = async_sharded
-    client.query(side="upper", vertex=0)
-    text = client.metrics()
-    assert "pmbc_shard_requests_total" in text
-    assert "pmbc_shards_up 2" in text
-    stats = client.stats()
-    assert stats["sharding"]["num_shards"] == 2
-    assert len(stats["per_shard"]) == 2
-
-
-def test_debug_traces_lookup(async_sharded):
-    __, __, client = async_sharded
+def test_debug_traces_lookup(client):
     payload = client.query(side="upper", vertex=0, explain=True)
     trace_id = payload["trace"]["trace_id"]
     listing = client.debug_traces(limit=5)
@@ -285,7 +276,11 @@ def test_debug_traces_lookup(async_sharded):
 
 
 def test_plain_service_behind_async_front_end(paper_graph):
-    """The front-end also fronts an unsharded service."""
+    """Query and batch payloads keep schema v3's keys.
+
+    ``degraded`` is always present and false; ``shard`` is never
+    emitted.  A batch answers every query, in request order.
+    """
     service = PMBCService(
         paper_graph, config=ServiceConfig(num_workers=2)
     ).start()
@@ -295,6 +290,19 @@ def test_plain_service_behind_async_front_end(paper_graph):
         assert payload["result"] is not None
         assert payload["degraded"] is False
         assert "shard" not in payload
+        items = [
+            {"side": "upper", "vertex": 0},
+            {"side": "upper", "vertex": 0, "tau_u": 2, "tau_l": 2},
+            {"side": "lower", "vertex": paper_graph.num_lower - 1},
+            {"side": "upper", "vertex": paper_graph.num_upper - 1},
+        ]
+        batch = client.query_batch(items)
+        assert [r["query"]["vertex"] for r in batch["results"]] == [
+            item["vertex"] for item in items
+        ]
+        assert batch["degraded"] is False
+        assert "shard" not in batch
+        assert all(r["result"] is not None for r in batch["results"])
     assert service.closed
 
 
@@ -318,8 +326,8 @@ def test_resident_answer_skips_the_queue(paper_graph):
 
 
 def test_shutdown_closes_service_and_leaks_no_threads(paper_graph):
-    service = ShardedService(
-        paper_graph, 2, config=ServiceConfig(num_workers=2)
+    service = PMBCService(
+        paper_graph, config=ServiceConfig(num_workers=2)
     ).start()
     server = AsyncPMBCServer(service, port=0).start()
     client = PMBCClient(server.url, timeout=10)

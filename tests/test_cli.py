@@ -252,9 +252,36 @@ def test_serve_port_in_use_clean_error(edges_file, capsys):
     assert "error: cannot listen" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_serve_end_to_end(edges_file, shards):
-    """``pmbc serve`` answers HTTP in both modes and stops on SIGINT."""
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--workers", "0"),
+        ("--queue-size", "0"),
+        ("--exec-workers", "0"),
+        ("--index-budget-mb", "0"),
+        ("--hot-threshold", "0"),
+        ("--cache-size", "-1"),
+    ],
+    ids=lambda flag: flag[0].lstrip("-"),
+)
+def test_serve_bad_config_clean_error(edges_file, flag, capsys):
+    """A config the service rejects is an ``error:`` line and exit 2."""
+    assert main(["serve", edges_file, "--port", "0", *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_serve_has_no_shards_flag():
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["serve", "g.txt", "--shards", "2"])
+    assert info.value.code == 2
+
+
+def test_serve_end_to_end(edges_file):
+    """``pmbc serve`` answers HTTP and stops on SIGINT."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -263,7 +290,7 @@ def test_serve_end_to_end(edges_file, shards):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve", edges_file,
-            "--port", "0", "--shards", str(shards),
+            "--port", "0",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

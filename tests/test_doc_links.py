@@ -54,6 +54,5 @@ def test_docs_pages_exist():
         "README.md",
         "architecture.md",
         "serving.md",
-        "sharding.md",
         "benchmarks.md",
     } <= names
