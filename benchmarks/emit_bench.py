@@ -32,15 +32,17 @@ and vice versa.
 (:func:`repro.bench.workloads.temporal_replay` — seeded churn with
 interleaved Zipf queries) applied once through the streaming
 maintenance path (:meth:`PMBCService.update_batch`: in-place
-(α,β)-core bound repair, packed-adjacency patching, scoped
+(α,β)-core bound repair over the one live adjacency, scoped
 invalidation) and once as a per-batch full rebuild.  Both paths time
 their interleaved queries at the engine layer.  Interleaved
-answers are asserted equal, the final bounds and packed adjacency are
+answers are asserted equal, the final bounds and live adjacency are
 asserted identical to a from-scratch build (differential failures are
-hard in every mode), and the steady-state segment must trigger zero
-re-packs.  The throughput gate: incremental strictly beats rebuild in
-``--smoke`` (fig6-small), and is at least 10x on the full fig6-medium
-replay.
+hard in every mode).  The throughput gate: incremental strictly beats
+rebuild in ``--smoke`` (fig6-small), and is at least 10x on the full
+fig6-medium replay.  A ``memory`` row builds a service on an hq_sweep
+generator graph in a fresh process and applies one one-edge update:
+the peak RSS after it may be at most 1.5x the peak before it (the
+update path must not hold a second copy of the graph).
 
 Runs the Figure 6 / Figure 7 query workloads (same datasets, query
 pools and τ settings as ``test_fig6_query_time.py`` and
@@ -208,9 +210,13 @@ UPDATE_BATCH = 4
 UPDATE_QUERY_EVERY = 40
 UPDATE_TAU = 2
 UPDATE_DELETE_FRACTION = 0.45
-#: First fraction of the stream treated as warm-up; the remainder is
-#: the steady-state segment whose re-pack counter must stay at zero.
-UPDATE_WARMUP_FRACTION = 0.2
+#: Memory row: hq_sweep ``(n, m, cap)`` graphs large enough for a copy
+#: of the graph to show in the process's peak RSS (no zoo graph is).
+UPDATE_MEMORY_GRAPH = (20000, 120000, 300)
+UPDATE_MEMORY_SMOKE_GRAPH = (10000, 60000, 300)
+#: Gate: peak RSS after a service's first one-edge update over the
+#: peak before it.
+UPDATE_MEMORY_MAX_RATIO = 1.5
 
 #: Load-suite workload: open-loop Zipf arrivals against the HTTP stack
 #: on a fig6-medium dataset.
@@ -756,11 +762,11 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
     interleaved query is asserted equal across the two paths, and the
     run ends with a differential identity check: the incrementally
     maintained bounds must equal ``compute_bounds`` of the final
-    graph, and the patched packed adjacency must be byte-identical to
-    a fresh pack.  Failures are hard (returned regardless of smoke):
-    this snapshot doubles as an incremental-vs-rebuild differential
-    run.  The steady-state segment (after the warm-up prefix) must
-    trigger zero re-packs.
+    graph, and the live adjacency must be byte-identical to a fresh
+    one.  Failures are hard (returned regardless of smoke): this
+    snapshot doubles as an incremental-vs-rebuild differential run.
+    The ``memory`` row (:func:`first_update_memory`) fails when the
+    first update raises the peak RSS past ``UPDATE_MEMORY_MAX_RATIO``.
     """
     from repro.bench.workloads import temporal_replay
     from repro.core.engine import PMBCQueryEngine
@@ -802,7 +808,6 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
         schedule.append(("batch", pending))
         batches.append(pending)
     num_updates = sum(len(b) for b in batches)
-    warmup_batches = round(len(batches) * UPDATE_WARMUP_FRACTION)
 
     failures: list[str] = []
     perf_counter = time.perf_counter
@@ -812,17 +817,12 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
     inc_answers: list[int] = []
     inc_update_seconds = 0.0
     inc_query_ms: list[float] = []
-    steady_repacks = repacks_at_warmup = 0
     with PMBCService(graph, config=config) as service:
-        batch_index = 0
         for kind, payload in schedule:
             if kind == "batch":
                 t0 = perf_counter()
                 service.update_batch(payload)
                 inc_update_seconds += perf_counter() - t0
-                batch_index += 1
-                if batch_index == warmup_batches:
-                    repacks_at_warmup = service._dynadj.repack_count
             else:
                 side, vertex = payload
                 request = QueryRequest(side, vertex, UPDATE_TAU, UPDATE_TAU)
@@ -840,8 +840,6 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
             if service._dynadj is not None
             else None
         )
-        total_repacks = stats["updates"]["repacks"]
-        steady_repacks = total_repacks - repacks_at_warmup
         cascade = stats["updates"]["cascade_vertices"]
 
     # -- rebuild baseline -------------------------------------------------
@@ -900,13 +898,16 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
         fresh = DynamicPackedAdjacency(final_graph).canonical_bytes()
         if dynadj_bytes != fresh:
             failures.append(
-                "patched packed adjacency is not byte-identical to a "
-                "fresh pack of the final graph"
+                "live adjacency is not byte-identical to a fresh one of "
+                "the final graph"
             )
-    if steady_repacks != 0:
+    memory = first_update_memory(
+        *(UPDATE_MEMORY_SMOKE_GRAPH if smoke else UPDATE_MEMORY_GRAPH)
+    )
+    if memory["rss_ratio"] > UPDATE_MEMORY_MAX_RATIO:
         failures.append(
-            f"{steady_repacks} re-pack(s) on the steady-state segment "
-            "(expected 0: rewire churn stays inside the drift budget)"
+            f"the first update raised peak RSS x{memory['rss_ratio']} "
+            f"(gate: x{UPDATE_MEMORY_MAX_RATIO})"
         )
 
     inc_tput = num_updates / inc_update_seconds if inc_update_seconds else 0.0
@@ -936,7 +937,6 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
             "rewire_fraction": 1.0,
             "tau": UPDATE_TAU,
             "seed": WORKLOAD_SEED,
-            "warmup_batches": warmup_batches,
             "num_batches": len(batches),
         },
         "incremental": {
@@ -944,23 +944,80 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
             "updates_per_second": round(inc_tput, 1),
             "query": latency_stats(inc_query_ms),
             "cascade_vertices": cascade,
-            "repacks_total": total_repacks,
-            "repacks_steady_state": steady_repacks,
         },
         "rebuild": {
             "update_seconds": round(reb_update_seconds, 4),
             "updates_per_second": round(reb_tput, 1),
             "query": latency_stats(reb_query_ms),
         },
+        "memory": memory,
         "summary": {
             "speedup": round(speedup, 1) if speedup else None,
             "differential_ok": not any(
                 "diverged" in f or "byte-identical" in f for f in failures
             ),
-            "steady_state_repack_free": steady_repacks == 0,
+            "first_update_rss_ok": (
+                memory["rss_ratio"] <= UPDATE_MEMORY_MAX_RATIO
+            ),
         },
     }
     return body, failures
+
+
+def first_update_memory(n: int, m: int, cap: int) -> dict:
+    """Peak RSS of a fresh process before and after a service's first
+    update, on ``hq_sweep_graph(n, m, cap)``.
+
+    ``ru_maxrss`` is a peak over the whole process, so the run gets an
+    interpreter of its own (:func:`_first_update_memory_child`).
+    """
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, emit_bench; "
+            "emit_bench._first_update_memory_child(*map(int, sys.argv[1:]))",
+            str(n),
+            str(m),
+            str(cap),
+        ],
+        cwd=REPO_ROOT / "benchmarks",
+        capture_output=True,
+        text=True,
+    )
+    if child.returncode:
+        raise RuntimeError(f"memory probe failed:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
+def _first_update_memory_child(n: int, m: int, cap: int) -> None:
+    """Build a service, apply one one-edge insert, print the RSS row."""
+    import resource
+
+    from repro.serve.service import PMBCService, ServiceConfig
+
+    graph = hq_sweep_graph(n, m, cap)
+    absent = next(v for v in range(graph.num_lower) if not graph.has_edge(0, v))
+    config = ServiceConfig(num_workers=2, max_queue=64)
+    with PMBCService(graph, config=config) as service:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        t0 = time.perf_counter()
+        service.update_batch([("insert", 0, absent)])
+        seconds = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(
+        json.dumps(
+            {
+                "graph": {"n": n, "m": m, "cap": cap, "edges": graph.num_edges},
+                # Linux reports ru_maxrss in KiB.
+                "peak_rss_before_mib": round(before / 1024, 1),
+                "peak_rss_after_mib": round(after / 1024, 1),
+                "rss_ratio": round(after / before, 3),
+                "max_rss_ratio": UPDATE_MEMORY_MAX_RATIO,
+                "first_update_seconds": round(seconds, 3),
+            }
+        )
+    )
 
 
 def git_commit() -> str:
@@ -1091,9 +1148,10 @@ def run_load_suite(args) -> int:
 def run_update_suite(args) -> int:
     """Run the temporal-replay update benchmark; write ``BENCH_update.json``.
 
-    Differential failures (answer/bound/byte divergence) and
-    steady-state re-packs fail the run in *any* mode; the throughput
-    gate is strictly-beats in smoke and 10x on the full replay.
+    Differential failures (answer/bound/byte divergence) and a first
+    update over the peak-RSS gate fail the run in *any* mode; the
+    throughput gate is strictly-beats in smoke and 10x on the full
+    replay.
     """
     body, failures = bench_update(args.smoke)
     snapshot = {
@@ -1114,8 +1172,7 @@ def run_update_suite(args) -> int:
         f"{body['incremental']['updates_per_second']:,.0f} upd/s vs rebuild "
         f"{body['rebuild']['updates_per_second']:,.0f} upd/s "
         f"(x{summary['speedup'] or '?'}), "
-        f"steady-state repacks="
-        f"{body['incremental']['repacks_steady_state']}, "
+        f"first-update peak RSS x{body['memory']['rss_ratio']}, "
         f"differential {'ok' if summary['differential_ok'] else 'FAILED'}",
         flush=True,
     )
@@ -1126,8 +1183,9 @@ def run_update_suite(args) -> int:
         return 1
     if args.smoke:
         print(
-            "smoke ok: incremental maintenance beats rebuild, zero "
-            "steady-state re-packs, differential identity holds"
+            "smoke ok: incremental maintenance beats rebuild, the first "
+            "update stays under the peak-RSS gate, differential identity "
+            "holds"
         )
     return 0
 

@@ -48,9 +48,21 @@ from repro.kernel import KERNEL_KINDS
 from repro.objectives import get_objective, objective_kinds
 
 
+class _InputError(Exception):
+    """A user-facing input failure: an unreadable edge list, index or
+    batch file (reported as ``error: …`` with exit 2, no traceback)."""
+
+
 def _load_graph(path: str, konect: bool) -> BipartiteGraph:
     reader = read_konect if konect else read_edge_list
-    return reader(path)
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise _InputError(
+            f"cannot read edge list {path!r}: {exc.strerror or exc}"
+        ) from None
+    except ValueError as exc:
+        raise _InputError(f"malformed edge list {path!r}: {exc}") from None
 
 
 def _side(value: str) -> Side:
@@ -62,32 +74,28 @@ def _side(value: str) -> Side:
         )
 
 
-class _IndexLoadError(Exception):
-    """A user-facing index-loading failure (reported without traceback)."""
-
-
 def _load_index(path: str) -> PMBCIndex:
     """Load a saved index through the unified :meth:`PMBCIndex.load`.
 
     Format sniffing (JSON vs binary magic bytes) lives in
     ``PMBCIndex.load``; this wrapper turns failures into
-    :class:`_IndexLoadError` with a human-readable message so commands
+    :class:`_InputError` with a human-readable message so commands
     exit cleanly without a traceback.
     """
     try:
         return PMBCIndex.load(path)
     except OSError as exc:
-        raise _IndexLoadError(
+        raise _InputError(
             f"cannot read index file {path!r}: {exc.strerror or exc}"
         ) from None
     except IndexFormatError as exc:
-        raise _IndexLoadError(
+        raise _InputError(
             f"corrupt binary index {path!r}: {exc}"
         ) from None
     except (ValueError, KeyError, TypeError, EOFError) as exc:
         # JSON decode errors are ValueError subclasses; missing fields
         # surface as KeyError/TypeError.
-        raise _IndexLoadError(
+        raise _InputError(
             f"index file {path!r} is not a valid PMBC-Index "
             f"(JSON or binary): {exc}"
         ) from None
@@ -136,11 +144,11 @@ def _read_batch_file(path: str, graph: BipartiteGraph) -> list[QueryRequest]:
                 )
             requests.append(QueryRequest.of(item))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _IndexLoadError(
+            raise _InputError(
                 f"bad batch entry #{position} in {path!r}: {exc}"
             ) from None
     if not requests:
-        raise _IndexLoadError(f"batch file {path!r} contains no queries")
+        raise _InputError(f"batch file {path!r} contains no queries")
     return requests
 
 
@@ -750,7 +758,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _IndexLoadError as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,27 +79,22 @@ def build_search_tree(
     stats: BuildStats | None = None,
     use_lemma6_caps: bool = True,
     kernel: str | None = None,
-    extractor=None,
 ) -> SearchTree:
     """Build ``T_q`` (the per-vertex loop body of Algorithms 3/4/6).
 
     ``use_lemma6_caps=False`` disables the Lemma 6 shape caps — an
     ablation knob; the resulting tree is identical, only slower to
     build.  ``kernel`` picks the compute kernel for the per-node
-    searches; both kernels build identical trees.  ``extractor``
-    overrides :func:`extract_local` (same signature) — dynamic callers
-    pass :meth:`repro.kernel.DynamicPackedAdjacency.extract` to pull
-    ``H_q`` straight from live patched adjacency, in which case
-    ``graph`` only needs ``degree``/``neighbors``.
+    searches; both kernels build identical trees.  ``graph`` only needs
+    ``degree``/``neighbors``, so dynamic callers pass their live
+    :class:`~repro.kernel.DynamicPackedAdjacency` and skip the snapshot.
     """
     tree = SearchTree()
     if graph.degree(side, q) == 0:
         return tree
     limit_u, limit_l = vertex_constraint_limits(graph, side, q)
     z_q = bounds.z_bound(side, q) if bounds is not None else None
-    if extractor is None:
-        extractor = extract_local
-    local = extractor(graph, side, q, resolve_kernel(kernel))
+    local = extract_local(graph, side, q, resolve_kernel(kernel))
 
     root = SearchTreeNode(tau_u=1, tau_l=1)
     tree.nodes.append(root)

@@ -18,11 +18,10 @@ scheme on top of the static constructors:
   :class:`~repro.corenum.incremental.IncrementalCoreBounds` — a bounded
   peeling cascade per update instead of a from-scratch ``O(δ·m)``
   recomputation — and stay *exact* at every point.
-- The adjacency lives in one :class:`~repro.kernel.DynamicPackedAdjacency`
-  on both kernels.  The bitset kernel rebuilds affected trees by fused
-  extraction from its live patched bit rows — no ``O(m)`` graph
-  snapshot per update batch; the set kernel extracts from its
-  incremental snapshot.
+- The graph lives in one :class:`~repro.kernel.DynamicPackedAdjacency`
+  (live neighbor sets) on both kernels.  The bounds maintainer reads
+  it in place, and affected trees are rebuilt by extracting ``H_q``
+  straight from it — no graph snapshot per update batch.
 - Deleted edges can strand biclique instances in the array ``A``;
   they become unreachable (every tree referencing a broken biclique is
   in the affected set) and :meth:`DynamicPMBCIndex.compact` garbage
@@ -49,7 +48,7 @@ from repro.corenum.incremental import (
 )
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.kernel import resolve_kernel
-from repro.kernel.dynadj import DEFAULT_CHURN_BUDGET, DynamicPackedAdjacency
+from repro.kernel.dynadj import DynamicPackedAdjacency
 
 
 def edge_affected_sets(
@@ -86,12 +85,10 @@ class DynamicPMBCIndex:
         auto-GC; stranded bicliques then accumulate until an explicit
         :meth:`compact`).
     kernel:
-        Compute kernel for tree rebuilds: ``"bitset"`` extracts straight
-        from the patched :class:`DynamicPackedAdjacency`, ``"set"`` from
-        its snapshot.
-    cascade_cap / churn_budget:
-        Tuning knobs forwarded to the incremental bounds and the packed
-        adjacency respectively.
+        Compute kernel for tree rebuilds; both kernels extract ``H_q``
+        straight from the live :class:`DynamicPackedAdjacency`.
+    cascade_cap:
+        Tuning knob forwarded to the incremental bounds.
     bounds:
         Optional existing :class:`CoreBounds` of ``graph`` to adopt —
         it is then repaired in place, so external holders (engines,
@@ -105,17 +102,18 @@ class DynamicPMBCIndex:
         compact_every: int | None = None,
         kernel: str | None = None,
         cascade_cap: int = DEFAULT_CASCADE_CAP,
-        churn_budget: int = DEFAULT_CHURN_BUDGET,
         bounds: CoreBounds | None = None,
     ) -> None:
         self._use_core_bounds = use_core_bounds
         self._kernel = resolve_kernel(kernel)
+        self._dyn = DynamicPackedAdjacency(graph)
         self._inc = (
-            IncrementalCoreBounds(graph, bounds=bounds, cascade_cap=cascade_cap)
+            IncrementalCoreBounds(
+                self._dyn, bounds=bounds, cascade_cap=cascade_cap
+            )
             if use_core_bounds
             else None
         )
-        self._dyn = DynamicPackedAdjacency(graph, churn_budget=churn_budget)
         self.compact_every = compact_every
         self._snapshot: BipartiteGraph | None = None
         self._array = BicliqueArray()
@@ -343,12 +341,6 @@ class DynamicPMBCIndex:
     def _rebuild(
         self, affected_upper: set[int], affected_lower: set[int]
     ) -> int:
-        # The bitset kernel extracts straight from the live patched
-        # adjacency; the set kernel still needs a materialized snapshot.
-        if self._kernel == "bitset":
-            graph, extractor = self._dyn, self._dyn.extract
-        else:
-            graph, extractor = self.graph(), None
         bounds = self._current_bounds()
         count = 0
         for side, affected in (
@@ -357,13 +349,12 @@ class DynamicPMBCIndex:
         ):
             for x in affected:
                 self._trees[side][x] = build_search_tree(
-                    graph,
+                    self._dyn,
                     side,
                     x,
                     self._array,
                     bounds,
                     kernel=self._kernel,
-                    extractor=extractor,
                 )
                 count += 1
         self.trees_rebuilt += count

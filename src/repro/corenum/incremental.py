@@ -36,13 +36,17 @@ approximate — they rest on the fixpoint characterization of ``ℓ``:
   to ``old + 1`` (the fixed endpoint to its ``a``-th largest
   neighbor-bound), and decrease-converges with the boundary frozen.
 
-Every sweep repair falls back to a single fresh ``_peel_levels`` sweep
-when the cascade/region exceeds ``cascade_cap`` — never the full
-decomposition.  δ itself moves by at most one per update; a growth
-appends two fresh sweeps, a shrink drops the top ones.  A new
-(δ+1,δ+1)-core must contain the inserted edge, so a growth is probed
-(one ``alpha_beta_core`` peel) only when both endpoints reach level
-δ+1 in the already-repaired α=δ sweep.
+The maintainer keeps no adjacency of its own: it reads the caller's
+live :class:`~repro.kernel.DynamicPackedAdjacency`, and each repair
+runs after that adjacency has changed.  Every sweep repair falls back
+to a single fresh ``_peel_levels`` sweep when the cascade/region
+exceeds ``cascade_cap`` — never the full decomposition.  Whole-sweep
+peels read the adjacency's incremental snapshot, whose sorted tuple
+rows peel faster than the live sets.  δ itself moves by at most one
+per update; a growth appends two fresh sweeps, a shrink drops the top
+ones.  A new (δ+1,δ+1)-core must contain the inserted edge, so a
+growth is probed (one ``alpha_beta_core`` peel) only when both
+endpoints reach level δ+1 in the already-repaired α=δ sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.corenum.bounds import (
     CoreBounds,
@@ -65,43 +69,16 @@ from repro.corenum.decomposition import (
     _sweeps,
 )
 from repro.corenum.peeling import alpha_beta_core
-from repro.graph.bipartite import BipartiteGraph, Side
+from repro.graph.bipartite import Side
+
+if TYPE_CHECKING:
+    from repro.kernel.dynadj import DynamicPackedAdjacency
 
 __all__ = ["IncrementalCoreBounds", "UpdateRepairStats"]
 
 #: Default bound on vertices a single sweep repair may touch before the
 #: sweep is re-peeled from scratch instead.
 DEFAULT_CASCADE_CAP = 4096
-
-
-class _AdjView:
-    """Duck-typed :class:`BipartiteGraph` over mutable adjacency sets.
-
-    Exposes exactly the surface ``_peel_levels`` / ``alpha_beta_core``
-    read (``num_vertices_on``, ``degrees``, ``neighbors``, layer
-    counts), so sweeps can be re-peeled against the live adjacency
-    without materializing a snapshot.
-    """
-
-    def __init__(self, adj: dict[Side, list[set[int]]]) -> None:
-        self._adj = adj
-
-    def num_vertices_on(self, side: Side) -> int:
-        return len(self._adj[side])
-
-    @property
-    def num_upper(self) -> int:
-        return len(self._adj[Side.UPPER])
-
-    @property
-    def num_lower(self) -> int:
-        return len(self._adj[Side.LOWER])
-
-    def degrees(self, side: Side) -> list[int]:
-        return [len(ns) for ns in self._adj[side]]
-
-    def neighbors(self, side: Side, v: int):
-        return self._adj[side][v]
 
 
 def _h_index(values: list[int]) -> int:
@@ -149,12 +126,15 @@ class IncrementalCoreBounds:
 
     Parameters
     ----------
-    graph:
-        The starting graph.
+    adjacency:
+        The live adjacency of the graph.  The caller owns and mutates
+        it; the maintainer only reads it, and each
+        :meth:`insert_edge`/:meth:`delete_edge` call repairs one edge
+        change the adjacency has already made.
     bounds:
-        Optional existing :class:`CoreBounds` of ``graph`` to adopt and
-        maintain (must have been computed from ``graph``); a fresh one
-        is computed when omitted.
+        Optional existing :class:`CoreBounds` of the graph to adopt and
+        maintain (must have been computed from it); a fresh one is
+        computed when omitted.
     cascade_cap:
         Max vertices a single sweep repair may touch before falling
         back to re-peeling that sweep.
@@ -162,21 +142,15 @@ class IncrementalCoreBounds:
 
     def __init__(
         self,
-        graph: BipartiteGraph,
+        adjacency: DynamicPackedAdjacency,
         bounds: CoreBounds | None = None,
         cascade_cap: int = DEFAULT_CASCADE_CAP,
     ) -> None:
-        self._adj: dict[Side, list[set[int]]] = {
-            side: [
-                set(graph.neighbors(side, v))
-                for v in range(graph.num_vertices_on(side))
-            ]
-            for side in Side
-        }
-        self._view = _AdjView(self._adj)
+        self._adjacency = adjacency
+        self._sets = adjacency.sets
         self.cascade_cap = cascade_cap
         # δ is the length of both sweep lists.
-        self._alpha_sweeps, self._beta_sweeps = _sweeps(graph)
+        self._alpha_sweeps, self._beta_sweeps = _sweeps(adjacency.snapshot())
         if bounds is None:
             bounds = _bounds_from_sweeps(
                 self._alpha_sweeps, self._beta_sweeps, self._sizes()
@@ -184,7 +158,6 @@ class IncrementalCoreBounds:
         self._bounds = bounds
         # Aggregate counters (exposed via stats()).
         self.updates = 0
-        self.noop_updates = 0
         self.cascade_total = 0
         self.sweep_fallbacks = 0
         self.delta_changes = 0
@@ -218,28 +191,16 @@ class IncrementalCoreBounds:
         """Current δ (max t with a non-empty (t,t)-core)."""
         return len(self._alpha_sweeps)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``(u, v)`` exists in the maintained graph."""
-        return (
-            u < len(self._adj[Side.UPPER]) and v in self._adj[Side.UPPER][u]
-        )
-
     def ensure_vertex(self, side: Side, x: int) -> None:
-        """Extend ``side`` so vertex id ``x`` exists (isolated if new)."""
+        """Extend the per-vertex rows so vertex id ``x`` exists on
+        ``side`` (isolated if new); call it when the adjacency grows
+        without an edge."""
         self._grow(side, x)
-
-    def snapshot(self) -> BipartiteGraph:
-        """An immutable :class:`BipartiteGraph` of the maintained graph."""
-        return BipartiteGraph(
-            [sorted(ns) for ns in self._adj[Side.UPPER]],
-            num_lower=len(self._adj[Side.LOWER]),
-        )
 
     def stats(self) -> dict:
         """JSON-friendly repair counters."""
         return {
             "updates": self.updates,
-            "noop_updates": self.noop_updates,
             "cascade_total": self.cascade_total,
             "sweep_fallbacks": self.sweep_fallbacks,
             "delta_changes": self.delta_changes,
@@ -251,42 +212,48 @@ class IncrementalCoreBounds:
     # Update surface
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> UpdateRepairStats:
-        """Insert edge ``(u, v)``; repairs sweep levels and bound rows.
+        """Repair sweep levels and bound rows for an inserted edge.
 
-        Unknown vertex ids extend the layers.  Inserting an existing
-        edge is a free, counted no-op.
+        Call it once per edge, right after the adjacency's own
+        ``insert_edge(u, v)`` returned True (no other update in
+        between).  Unknown vertex ids extend the per-vertex rows.
         """
         stats = UpdateRepairStats("insert")
         self._grow(Side.UPPER, u)
         self._grow(Side.LOWER, v)
-        if v in self._adj[Side.UPPER][u]:
-            self.noop_updates += 1
-            stats.action = "noop"
-            self.last_repair = stats
-            return stats
-        self._adj[Side.UPPER][u].add(v)
-        self._adj[Side.LOWER][v].add(u)
-        self._repair_all_sweeps(stats, "insert", u, v)
+        sets = self._sets
+        self._repair_all_sweeps(
+            stats, "insert", u, v,
+            len(sets[Side.UPPER][u]), len(sets[Side.LOWER][v]),
+        )
         self._maybe_grow_delta(stats, u, v)
         self._refresh_or_defer(stats.changed_vertices)
         self._account(stats)
         return stats
 
-    def delete_edge(self, u: int, v: int) -> UpdateRepairStats:
-        """Delete edge ``(u, v)``; repairs sweep levels and bound rows.
+    def delete_edge(
+        self,
+        u: int,
+        v: int,
+        deg_u: int | None = None,
+        deg_v: int | None = None,
+    ) -> UpdateRepairStats:
+        """Repair sweep levels and bound rows for a deleted edge.
 
-        Deleting a missing edge is a free, counted no-op.
+        Call it once per edge the adjacency's ``delete_edge(u, v)``
+        removed.  ``deg_u``/``deg_v`` are the endpoints' degrees that
+        gate which sweeps can see the edge; they default to the current
+        degrees plus one, right when the repair directly follows the
+        adjacency's delete.  A caller that removes several edges before
+        repairing any of them must pass the degrees from before its
+        first removal: a degree read after other removals of the same
+        endpoint would skip sweeps that still need repair.
         """
         stats = UpdateRepairStats("delete")
-        if not self.has_edge(u, v):
-            self.noop_updates += 1
-            stats.action = "noop"
-            self.last_repair = stats
-            return stats
-        deg_u = len(self._adj[Side.UPPER][u])
-        deg_v = len(self._adj[Side.LOWER][v])
-        self._adj[Side.UPPER][u].discard(v)
-        self._adj[Side.LOWER][v].discard(u)
+        if deg_u is None:
+            deg_u = len(self._sets[Side.UPPER][u]) + 1
+        if deg_v is None:
+            deg_v = len(self._sets[Side.LOWER][v]) + 1
         self._repair_all_sweeps(stats, "delete", u, v, deg_u, deg_v)
         self._maybe_shrink_delta(stats)
         self._refresh_or_defer(stats.changed_vertices)
@@ -337,7 +304,7 @@ class IncrementalCoreBounds:
         from repro.corenum.bounds import compute_bounds
         from repro.corenum.decomposition import decompose
 
-        snapshot = self.snapshot()
+        snapshot = self._adjacency.snapshot()
         fresh_decomp = decompose(snapshot)
         assert self.delta == fresh_decomp.delta, (
             f"delta drifted: {self.delta} != {fresh_decomp.delta}"
@@ -365,21 +332,17 @@ class IncrementalCoreBounds:
         action: str,
         u: int,
         v: int,
-        deg_u: int | None = None,
-        deg_v: int | None = None,
+        deg_u: int,
+        deg_v: int,
     ) -> None:
         """Repair every stored sweep for one applied edge mutation.
 
-        For inserts the gate degree is the post-insert degree of the
-        sweep's fixed-side endpoint; for deletes the pre-delete degree
-        (``deg_u``/``deg_v``).  A sweep whose fixed value exceeds that
-        degree cannot involve the endpoint, so the edge is invisible to
-        it and the sweep is skipped untouched.
+        ``deg_u``/``deg_v`` gate the sweeps: for inserts the post-insert
+        degree of the sweep's fixed-side endpoint, for deletes its
+        degree before the delete.  A sweep whose fixed value exceeds
+        that degree cannot involve the endpoint, so the edge is
+        invisible to it and the sweep is skipped untouched.
         """
-        if deg_u is None:
-            deg_u = len(self._adj[Side.UPPER][u])
-        if deg_v is None:
-            deg_v = len(self._adj[Side.LOWER][v])
         for sweeps, fixed_side, gate in (
             (self._alpha_sweeps, Side.UPPER, deg_u),
             (self._beta_sweeps, Side.LOWER, deg_v),
@@ -415,7 +378,7 @@ class IncrementalCoreBounds:
         """The fixpoint operator ``F`` at one vertex."""
         other = side.other
         other_level = level[other]
-        values = [other_level[w] for w in self._adj[side][x]]
+        values = [other_level[w] for w in self._sets[side][x]]
         if side is fixed_side:
             return _kth_largest(values, a)
         return _h_index(values)
@@ -441,7 +404,7 @@ class IncrementalCoreBounds:
         queued = set(work)
         changed: set[tuple[Side, int]] = set()
         processed = 0
-        adj = self._adj
+        adj = self._sets
         while work:
             side, x = work.popleft()
             queued.discard((side, x))
@@ -471,7 +434,7 @@ class IncrementalCoreBounds:
             changed.add((side, x))
             other = side.other
             other_level = level[other]
-            for w in self._adj[side][x]:
+            for w in adj[side][x]:
                 # w's operator value can only drop if x stopped counting
                 # toward w's current level: new < ℓ(w) ≤ current.
                 if new < other_level[w] <= current:
@@ -497,7 +460,7 @@ class IncrementalCoreBounds:
         may jump multiple steps and is initialized to its ``a``-th
         largest neighbor bound instead of ``old + 1``.
         """
-        adj = self._adj
+        adj = self._sets
         if fixed_side is Side.UPPER:
             fixed_key, free_key = (Side.UPPER, u), (Side.LOWER, v)
         else:
@@ -653,7 +616,7 @@ class IncrementalCoreBounds:
         self, level: dict[Side, list[int]], fixed_side: Side, a: int
     ) -> set[tuple[Side, int]]:
         """Fallback: re-peel one sweep, returning the changed vertices."""
-        fresh = _peel_levels(self._view, fixed_side, a)
+        fresh = _peel_levels(self._adjacency.snapshot(), fixed_side, a)
         changed: set[tuple[Side, int]] = set()
         for side in Side:
             old_levels = level[side]
@@ -678,17 +641,18 @@ class IncrementalCoreBounds:
         in the repaired α=δ sweep; only then is the full peel probed.
         """
         d = self.delta + 1
-        if len(self._adj[Side.UPPER][u]) < d or len(self._adj[Side.LOWER][v]) < d:
+        if len(self._sets[Side.UPPER][u]) < d or len(self._sets[Side.LOWER][v]) < d:
             return
         if self._alpha_sweeps:
             top = self._alpha_sweeps[-1]
             if top[Side.UPPER][u] < d or top[Side.LOWER][v] < d:
                 return
-        upper, __ = alpha_beta_core(self._view, d, d)
+        graph = self._adjacency.snapshot()
+        upper, __ = alpha_beta_core(graph, d, d)
         if not upper:
             return
-        self._alpha_sweeps.append(_peel_levels(self._view, Side.UPPER, d))
-        self._beta_sweeps.append(_peel_levels(self._view, Side.LOWER, d))
+        self._alpha_sweeps.append(_peel_levels(graph, Side.UPPER, d))
+        self._beta_sweeps.append(_peel_levels(graph, Side.LOWER, d))
         self._mark_delta_change(stats)
 
     def _maybe_shrink_delta(self, stats: UpdateRepairStats) -> None:
@@ -708,7 +672,7 @@ class IncrementalCoreBounds:
         self.delta_changes += 1
         for side in Side:
             stats.changed_vertices.update(
-                (side, x) for x in range(len(self._adj[side]))
+                (side, x) for x in range(len(self._bounds.z[side]))
             )
 
     # ------------------------------------------------------------------
@@ -738,8 +702,7 @@ class IncrementalCoreBounds:
 
     def _grow(self, side: Side, x: int) -> None:
         """Extend every per-vertex array for a new vertex id."""
-        while x >= len(self._adj[side]):
-            self._adj[side].append(set())
+        while x >= len(self._bounds.z[side]):
             for sweep in self._alpha_sweeps:
                 sweep[side].append(0)
             for sweep in self._beta_sweeps:
@@ -755,4 +718,6 @@ class IncrementalCoreBounds:
         self.last_repair = stats
 
     def _sizes(self) -> dict[Side, int]:
-        return {side: len(self._adj[side]) for side in Side}
+        return {
+            side: self._adjacency.num_vertices_on(side) for side in Side
+        }

@@ -201,10 +201,12 @@ def two_hop_subgraph(graph: BipartiteGraph, side: Side, q: int) -> LocalGraph:
     local lower layer is ``N(q)`` and the local upper layer is
     ``{q} ∪ ⋃_{v∈N(q)} N(v)``.  ``H_q`` contains every biclique of ``G``
     that includes ``q``, and its maximum biclique has the same size as
-    the personalized maximum biclique of ``q`` (Lemma 1).
+    the personalized maximum biclique of ``q`` (Lemma 1).  ``N(q)`` is
+    sorted here, so unordered neighbor sets (a live
+    :class:`~repro.kernel.DynamicPackedAdjacency`) give the same result.
     """
     other = side.other
-    lower_globals = list(graph.neighbors(side, q))
+    lower_globals = sorted(graph.neighbors(side, q))
     upper_global_set = {q}
     for v in lower_globals:
         upper_global_set.update(graph.neighbors(other, v))

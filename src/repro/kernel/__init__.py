@@ -25,7 +25,7 @@ machine-checked version.
 
 from __future__ import annotations
 
-from repro.kernel.dynadj import DEFAULT_CHURN_BUDGET, DynamicPackedAdjacency
+from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.kernel.packed import (
     PackedLocalGraph,
     iter_bits,
@@ -42,7 +42,6 @@ __all__ = [
     "pack_count",
     "iter_bits",
     "DynamicPackedAdjacency",
-    "DEFAULT_CHURN_BUDGET",
 ]
 
 #: Valid ``kernel=`` selector values; the CLI and config use these.

@@ -173,11 +173,13 @@ def two_hop_packed(graph: BipartiteGraph, side: Side, q: int) -> LocalGraph:
     attached) materializes its adjacency *sets* lazily from the masks —
     a pure-bitset query never constructs them.  Local ids, bit order,
     and degree arrays are identical to the unfused path, so the two
-    extractions are interchangeable.
+    extractions are interchangeable.  ``graph`` may also be a
+    :class:`~repro.kernel.DynamicPackedAdjacency`: ``N(q)`` is sorted
+    here, so its unordered live sets give the same ``H_q`` as a snapshot.
     """
     other = side.other
     neighbors = graph.neighbors
-    lower_globals = list(neighbors(side, q))
+    lower_globals = sorted(neighbors(side, q))
     # Pass 1: H_q upper degrees.  Every H_q edge has its lower endpoint
     # in N(q), so the counts fall out of the N(q) neighbor lists — and
     # a lower vertex's H_q degree is simply its full degree.

@@ -905,10 +905,6 @@ class PMBCService:
             "pmbc_update_trees_repaired_total",
             "Mounted-index search trees rebuilt by updates.",
         )
-        self._update_repacks = m.counter(
-            "pmbc_update_repacks_total",
-            "Full re-packs of the dynamic packed adjacency.",
-        )
         self._update_evictions = m.counter(
             "pmbc_update_partial_evictions_total",
             "Partial-index trees evicted by updates.",
@@ -1497,17 +1493,17 @@ class PMBCService:
     def _ensure_updater(self) -> None:
         """Build the lazy update state (caller holds ``_update_lock``).
 
-        The patched packed adjacency is the one live adjacency on both
-        kernels (presence checks, affected sets and snapshots read it);
-        the incremental bounds maintainer exists when core bounds are
-        on.
+        The dynamic adjacency is the one live adjacency on both kernels
+        (presence checks, affected sets, tree rebuilds and snapshots
+        read it); the incremental bounds maintainer, which exists when
+        core bounds are on, reads it too.
         """
-        if self._updater is None and self.config.use_core_bounds:
-            self._updater = IncrementalCoreBounds(
-                self.graph, bounds=self.engine.bounds
-            )
         if self._dynadj is None:
             self._dynadj = DynamicPackedAdjacency(self.graph)
+        if self._updater is None and self.config.use_core_bounds:
+            self._updater = IncrementalCoreBounds(
+                self._dynadj, bounds=self.engine.bounds
+            )
 
     def _coerce_updates(self, updates) -> list[tuple[str, int, int]]:
         ops: list[tuple[str, int, int]] = []
@@ -1616,27 +1612,22 @@ class PMBCService:
                 )
             cascade = 0
             affected: set[tuple[Side, int]] = set()
-            repacks_before = dyn.repack_count
-            # Phase 1 — insertions: repair bounds, then patch adjacency.
-            # Affected sets read the *post-insert* neighborhoods.  The
-            # stairs/bounds refresh is deferred across the whole insert
-            # phase (overlapping neighborhoods refresh once) and flushed
-            # by the `with` exit — before the snapshot swap publishes
-            # the new graph, keeping the two-phase ordering sound.
+            # Phase 1 — insertions: patch the adjacency, then repair the
+            # bounds from it, one edge at a time.  Affected sets read the
+            # *post-insert* neighborhoods.  The bound-row refresh is
+            # deferred across the whole insert phase (overlapping
+            # neighborhoods refresh once) and flushed by the `with` exit
+            # — before the snapshot swap publishes the new graph,
+            # keeping the two-phase ordering sound.
             with (
                 self._updater.defer_refresh()
                 if self._updater is not None
                 else nullcontext()
             ):
                 for u, v in inserts:
-                    dyn.ensure_vertex(Side.UPPER, u)
-                    dyn.ensure_vertex(Side.LOWER, v)
-                    if self._updater is not None:
-                        self._updater.ensure_vertex(Side.UPPER, u)
-                        self._updater.ensure_vertex(Side.LOWER, v)
-                        self._updater.insert_edge(u, v)
-                        cascade += self._updater.last_repair.cascade
                     dyn.insert_edge(u, v)
+                    if self._updater is not None:
+                        cascade += self._updater.insert_edge(u, v).cascade
                     up, low = edge_affected_sets(
                         dyn.neighbors(Side.UPPER, u),
                         dyn.neighbors(Side.LOWER, v),
@@ -1647,7 +1638,13 @@ class PMBCService:
                     affected.update((Side.LOWER, x) for x in low)
             # Deletions: affected sets read the *pre-delete*
             # neighborhoods, then the adjacency is patched (the swap
-            # snapshot must already exclude these edges).
+            # snapshot must already exclude these edges).  The repairs
+            # come after the swap, so their sweep gates are the
+            # endpoint degrees from before the first delete.
+            gates = [
+                (dyn.degree(Side.UPPER, u), dyn.degree(Side.LOWER, v))
+                for u, v in deletes
+            ]
             for u, v in deletes:
                 up, low = edge_affected_sets(
                     dyn.neighbors(Side.UPPER, u),
@@ -1665,12 +1662,12 @@ class PMBCService:
             # valid upper bounds for the already-shrunk graph).
             if self._updater is not None:
                 with self._updater.defer_refresh():
-                    for u, v in deletes:
-                        self._updater.delete_edge(u, v)
-                        cascade += self._updater.last_repair.cascade
+                    for (u, v), (deg_u, deg_v) in zip(deletes, gates):
+                        cascade += self._updater.delete_edge(
+                            u, v, deg_u, deg_v
+                        ).cascade
             trees = self._repair_index(affected)
             evicted = self._evict_partial(affected)
-            repacks = dyn.repack_count - repacks_before
         seconds = time.monotonic() - start
         if inserts:
             self._updates.inc(len(inserts), kind="insert")
@@ -1681,8 +1678,6 @@ class PMBCService:
         self._update_batches.inc()
         self._update_cascade.inc(cascade)
         self._update_trees.inc(trees)
-        if repacks:
-            self._update_repacks.inc(repacks)
         if evicted:
             self._update_evictions.inc(evicted)
         self._update_latency.observe(seconds)
@@ -1749,12 +1744,7 @@ class PMBCService:
                 trees.append(SearchTree())
         index.num_upper = self.graph.num_upper
         index.num_lower = self.graph.num_lower
-        # The bitset kernel extracts straight from the live patched
-        # adjacency; the set kernel extracts from the new snapshot.
-        if self.engine.kernel == "bitset":
-            source, extractor = self._dynadj, self._dynadj.extract
-        else:
-            source, extractor = self.graph, None
+        # Both kernels extract H_q straight from the live adjacency.
         bounds = self.engine.bounds
         count = 0
         for side, x in affected:
@@ -1762,14 +1752,13 @@ class PMBCService:
             if x >= len(trees):
                 continue
             trees[x] = build_search_tree(
-                source,
+                self._dynadj,
                 side,
                 x,
                 index.array,
                 bounds,
                 None,
                 kernel=self.engine.kernel,
-                extractor=extractor,
             )
             count += 1
         return count
@@ -1960,7 +1949,6 @@ class PMBCService:
                 "noops": int(self._updates.value(kind="noop")),
                 "cascade_vertices": int(self._update_cascade.total()),
                 "trees_repaired": int(self._update_trees.total()),
-                "repacks": int(self._update_repacks.total()),
                 "partial_evictions": int(self._update_evictions.total()),
                 "exec_degraded": self._exec_degraded,
                 "bounds": self._updater.stats()

@@ -9,6 +9,7 @@ from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import Side
 from repro.graph.generators import complete_bipartite, random_bipartite, star
 from repro.graph.subgraph import two_hop_subgraph
+from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.mbc.oracle import all_closed_bicliques
 
 
@@ -133,16 +134,19 @@ def test_view_thresholds_match_per_vertex_bounds(seed):
     reads cut, for every vertex, incumbent and size — also on rows an
     incremental repair wrote and on all-zero rows."""
     graph = random_bipartite(9, 8, 0.45, seed=seed)
-    live = IncrementalCoreBounds(graph)
-    live.insert_edge(0, 7)
-    live.delete_edge(1, 2)
+    adjacency = DynamicPackedAdjacency(graph)
+    live = IncrementalCoreBounds(adjacency)
+    if adjacency.insert_edge(0, 7):
+        live.insert_edge(0, 7)
+    if adjacency.delete_edge(1, 2):
+        live.delete_edge(1, 2)
     fresh = compute_bounds(graph)
     zeroed = CoreBounds(
         z=fresh.z,
         prefix={s: [[0] * len(r) for r in rows] for s, rows in fresh.prefix.items()},
         suffix={s: [[0] * len(r) for r in rows] for s, rows in fresh.suffix.items()},
     )
-    for bounds, g in ((fresh, graph), (live.bounds, live.snapshot()), (zeroed, graph)):
+    for bounds, g in ((fresh, graph), (live.bounds, adjacency.snapshot()), (zeroed, graph)):
         for side in Side:
             view = _whole_graph_view(bounds, g, side)
             uppers = range(g.num_vertices_on(side))

@@ -2,8 +2,9 @@
 
 The streaming stack's acceptance property: after >= 1000 mixed edge
 updates the incrementally maintained state must be indistinguishable
-from a rebuild — identical (α,β)-core bounds, a byte-identical packed
-adjacency, and identical personalized answers on both kernels, with
+from a rebuild — identical (α,β)-core bounds, a byte-identical live
+adjacency, the same two-hop extractions from the live adjacency as from
+its snapshot, and identical personalized answers on both kernels, with
 queries interleaved throughout the stream.  The two update surfaces,
 :class:`~repro.core.dynamic.DynamicPMBCIndex` and
 :meth:`~repro.serve.PMBCService.update_batch`, must also behave
@@ -26,8 +27,10 @@ from repro.corenum.bounds import compute_bounds
 from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.generators import power_law_bipartite
+from repro.graph.subgraph import two_hop_subgraph
 from repro.kernel import KERNEL_KINDS
 from repro.kernel.dynadj import DynamicPackedAdjacency
+from repro.kernel.packed import two_hop_packed
 from repro.serve import PMBCService, ServiceConfig
 
 #: Every test runs under both search schedules (tests/conftest.py).
@@ -44,7 +47,8 @@ def _rebuild(upper_adj, num_lower):
 
 @pytest.fixture(scope="module")
 def churned(search_schedule):
-    """Replay >= 1000 mixed updates through every incremental surface.
+    """Replay >= 1000 mixed updates through one live adjacency and
+    the bounds maintainer that reads it.
 
     Returns ``(inc, dynadj, final_graph, interleaved)`` where
     ``interleaved`` pairs each mid-stream query with the incremental
@@ -59,8 +63,8 @@ def churned(search_schedule):
         query_every=100,
         seed=5,
     )
-    inc = IncrementalCoreBounds(graph)
     dynadj = DynamicPackedAdjacency(graph)
+    inc = IncrementalCoreBounds(dynadj)
     upper_adj = [
         set(graph.neighbors(Side.UPPER, u)) for u in range(graph.num_upper)
     ]
@@ -77,15 +81,15 @@ def churned(search_schedule):
         else:
             u, v = a, b
             if action == "insert":
-                inc.insert_edge(u, v)
-                dynadj.insert_edge(u, v)
+                if dynadj.insert_edge(u, v):
+                    inc.insert_edge(u, v)
                 while u >= len(upper_adj):
                     upper_adj.append(set())
                 num_lower = max(num_lower, v + 1)
                 upper_adj[u].add(v)
             else:
-                inc.delete_edge(u, v)
-                dynadj.delete_edge(u, v)
+                if dynadj.delete_edge(u, v):
+                    inc.delete_edge(u, v)
                 upper_adj[u].discard(v)
             applied += 1
     assert applied >= NUM_UPDATES
@@ -123,6 +127,44 @@ def test_snapshot_equals_rebuilt_graph(churned):
         assert snap.num_vertices_on(side) == final.num_vertices_on(side)
         for v in range(final.num_vertices_on(side)):
             assert snap.neighbors(side, v) == final.neighbors(side, v)
+
+
+def _extraction(local):
+    """Everything a two-hop extraction hands the search, as one tuple."""
+    packed = getattr(local, "_packed", None)
+    fields = (
+        local.upper_globals,
+        local.lower_globals,
+        local.upper_side,
+        local.q_local,
+        local.adj_upper,
+        local.adj_lower,
+    )
+    if packed is None:
+        return fields
+    return fields + tuple(
+        getattr(packed, name)
+        for name in (
+            "upper_order", "lower_order", "upper_rank", "lower_rank",
+            "adj_upper", "adj_lower", "deg_upper", "deg_lower",
+            "all_upper", "all_lower",
+        )
+    )
+
+
+def test_live_extraction_equals_snapshot_extraction(churned):
+    """One extractor: H_q from the live neighbor sets is H_q from the
+    snapshot, on both kernels' extractors, for every vertex."""
+    __, dynadj, __final, __interleaved = churned
+    snap = dynadj.snapshot()
+    for extract in (two_hop_packed, two_hop_subgraph):
+        for side in Side:
+            for q in range(snap.num_vertices_on(side)):
+                if not snap.degree(side, q):
+                    continue
+                assert _extraction(extract(dynadj, side, q)) == _extraction(
+                    extract(snap, side, q)
+                ), (extract.__name__, side, q)
 
 
 def test_interleaved_answers_match_rebuild(churned):
@@ -255,6 +297,8 @@ def test_service_set_and_bitset_agree_under_updates():
             }
             assert results["set"] == results["bitset"], step
             assert results["set"].trees_repaired > 0, step
+            for svc in services.values():
+                svc._updater.verify()
             _assert_kernels_match_rebuild(
                 lambda k, side, q, tau: services[k]
                 .query(side, q, *tau)

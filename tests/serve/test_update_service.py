@@ -14,12 +14,18 @@ import pytest
 from repro.core.online import pmbc_online
 from repro.corenum.bounds import compute_bounds
 from repro.graph.bipartite import Side
-from repro.graph.generators import paper_example_graph, random_bipartite
+from repro.graph.generators import (
+    paper_example_graph,
+    power_law_bipartite,
+    random_bipartite,
+)
+from repro.kernel import KERNEL_KINDS
 from repro.serve import (
     AsyncPMBCServer,
     InvalidRequestError,
     PMBCClient,
     PMBCService,
+    ServiceConfig,
 )
 from repro.serve.service import MAX_LAYER_GROWTH
 
@@ -118,12 +124,38 @@ def test_bounds_match_recompute_after_churn():
                 v = rng.randrange(graph.num_lower)
                 ops.append((rng.choice(("insert", "delete")), u, v))
             svc.update_batch(ops)
+            svc._updater.verify()
         exact = compute_bounds(svc.graph)
         live = svc.engine.bounds
         for side in Side:
             assert live.z[side] == exact.z[side]
             assert live.prefix[side] == exact.prefix[side]
             assert live.suffix[side] == exact.suffix[side]
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_deletes_sharing_an_endpoint_repair_exactly(kernel):
+    """One batch removes every edge of the top-degree upper vertex plus
+    two unrelated edges.  All of a batch's deletes leave the adjacency
+    before any is repaired, so each repair must gate its sweeps on the
+    degrees from before the batch, not on the shrunk adjacency."""
+    graph = power_law_bipartite(40, 30, 200, 1.6, seed=13)
+    top = max(
+        range(graph.num_upper), key=lambda u: graph.degree(Side.UPPER, u)
+    )
+    ops = [("delete", top, v) for v in graph.neighbors(Side.UPPER, top)]
+    others = [(u, v) for u, v in graph.edges() if u != top]
+    ops += [("delete", *others[0]), ("delete", *others[-1])]
+    with PMBCService(graph, config=ServiceConfig(kernel=kernel)) as svc:
+        result = svc.update_batch(ops)
+        assert result.deletes == len(ops)
+        svc._updater.verify()
+        for side, q in ((Side.UPPER, top), (Side.UPPER, others[0][0])):
+            expected = pmbc_online(svc.graph, side, q, 2, 2)
+            got = svc.query(side, q, 2, 2).biclique
+            assert (got.num_edges if got else None) == (
+                expected.num_edges if expected else None
+            )
 
 
 def test_update_metrics_counters(service):

@@ -224,6 +224,35 @@ def test_stats_missing_index_clean_error(edges_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+#: Arguments after the edge-list path, per subcommand that reads one.
+_AFTER_EDGE_LIST = {
+    "build": ["-o", "index.json"],
+    "query": ["--side", "upper", "--vertex", "0"],
+    "explain": ["0", "1", "1"],
+    "topk": ["--index", "index.json", "--side", "upper", "--vertex", "0"],
+    "stats": [],
+    "serve": ["--port", "0"],
+}
+
+
+@pytest.mark.parametrize("command", list(_AFTER_EDGE_LIST))
+def test_missing_edge_list_clean_error(command, tmp_path, capsys):
+    """A missing edge-list path is an ``error:`` line and exit 2."""
+    missing = str(tmp_path / "no-such-edges.txt")
+    assert main([command, missing, *_AFTER_EDGE_LIST[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read edge list"), err
+    assert "Traceback" not in err
+
+
+def test_malformed_edge_list_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad-edges.txt"
+    path.write_text("u1 v1 extra\n")
+    assert main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed edge list"), err
+
+
 def test_serve_parser_defaults():
     from repro.cli import build_parser
 
