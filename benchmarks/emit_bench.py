@@ -99,6 +99,11 @@ bitset advantage is not contractual there.  Cross-kernel answer,
 ``bb_nodes`` and prune-tally equality is asserted on every row
 regardless.  The smoke plan also runs one ``hq_sweep`` row on each side
 of the constant, as a differential check with no timing gate.
+
+Under ``--smoke`` every suite writes a gitignored ``*_smoke.json``
+(``BENCH_smoke.json``, ``BENCH_serve_smoke.json``,
+``BENCH_update_smoke.json``) instead of the committed snapshot, unless
+``--out``/``--serve-out``/``--update-out`` names a path.
 """
 
 from __future__ import annotations
@@ -138,6 +143,15 @@ from repro.graph.generators import (  # noqa: E402
 )
 from repro.mbc import progressive  # noqa: E402
 from repro.obs import SearchTrace, use_trace  # noqa: E402
+
+#: Snapshot per output option: (suite, full-run default, --smoke
+#: default).  The smoke files are gitignored, so a smoke run never
+#: writes over a committed ``BENCH_*.json``; an explicit path wins.
+DEFAULT_OUTPUTS = {
+    "out": ("kernel", "BENCH_kernel.json", "BENCH_smoke.json"),
+    "serve_out": ("serve", "BENCH_serve.json", "BENCH_serve_smoke.json"),
+    "update_out": ("update", "BENCH_update.json", "BENCH_update_smoke.json"),
+}
 
 #: Same workload scaling as benchmarks/conftest.py.
 NUM_QUERIES = 20
@@ -836,8 +850,8 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
         final_graph = service.graph
         final_bounds = service.engine.bounds
         dynadj_bytes = (
-            service._dynadj.canonical_bytes()
-            if service._dynadj is not None
+            service._live.adjacency.canonical_bytes()
+            if service._live is not None
             else None
         )
         cascade = stats["updates"]["cascade_vertices"]
@@ -1055,24 +1069,13 @@ def main(argv=None) -> int:
         action="store_true",
         help="quick run with pass/fail gates (the CI benchmark-smoke mode)",
     )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_kernel.json",
-        help="kernel-suite output path (default: repo-root BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--serve-out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_serve.json",
-        help="serve-suite output path (default: repo-root BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--update-out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_update.json",
-        help="update-suite output path (default: repo-root BENCH_update.json)",
-    )
+    for dest, (suite, full, smoke) in DEFAULT_OUTPUTS.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=Path,
+            help=f"{suite}-suite output path (default: repo-root {full}, "
+            f"or {smoke} under --smoke)",
+        )
     parser.add_argument(
         "--repeats",
         type=int,
@@ -1086,6 +1089,9 @@ def main(argv=None) -> int:
         help="restrict the kernel suite to these datasets",
     )
     args = parser.parse_args(argv)
+    for dest, (__, full, smoke) in DEFAULT_OUTPUTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, REPO_ROOT / (smoke if args.smoke else full))
     status = 0
     if args.suite in ("kernel", "all"):
         status = run_kernel_suite(args) or status

@@ -50,7 +50,8 @@ from repro.objectives import get_objective, objective_kinds
 
 class _InputError(Exception):
     """A user-facing input failure: an unreadable edge list, index or
-    batch file (reported as ``error: …`` with exit 2, no traceback)."""
+    batch file, or a bad query vertex, label, tau or dataset name
+    (reported as ``error: …`` with exit 2, no traceback)."""
 
 
 def _load_graph(path: str, konect: bool) -> BipartiteGraph:
@@ -72,6 +73,35 @@ def _side(value: str) -> Side:
         raise argparse.ArgumentTypeError(
             f"side must be 'upper' or 'lower', got {value!r}"
         )
+
+
+def _query_vertex(
+    graph: BipartiteGraph, side: Side, args: argparse.Namespace
+) -> int | None:
+    """The query vertex ``--label`` or ``--vertex`` names (None when
+    neither is given), checked against ``graph`` with the taus.
+
+    A bad label, vertex or tau raises :class:`_InputError`.
+    """
+    vertex = args.vertex
+    if args.label is not None:
+        try:
+            vertex = graph.vertex_by_label(side, args.label)
+        except KeyError:
+            raise _InputError(
+                f"no {side.value} vertex has label {args.label!r}"
+            ) from None
+    if vertex is not None and not 0 <= vertex < graph.num_vertices_on(side):
+        raise _InputError(
+            f"vertex {vertex} out of range for the {side.value} layer "
+            f"({graph.num_vertices_on(side)} vertices)"
+        )
+    if args.tau_u < 1 or args.tau_l < 1:
+        raise _InputError(
+            f"size constraints must be >= 1, got "
+            f"({args.tau_u}, {args.tau_l})"
+        )
+    return vertex
 
 
 def _load_index(path: str) -> PMBCIndex:
@@ -216,11 +246,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "error: provide --side (or use --batch-file)", file=sys.stderr
         )
         return 2
-    if args.label is not None:
-        vertex = graph.vertex_by_label(side, args.label)
-    elif args.vertex is not None:
-        vertex = args.vertex
-    else:
+    vertex = _query_vertex(graph, side, args)
+    if vertex is None:
         print("error: provide --vertex or --label", file=sys.stderr)
         return 2
     if args.index and not get_objective(args.objective).index_compatible:
@@ -260,17 +287,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs import SearchTrace, render_trace, use_trace
 
     if args.dataset:
-        from repro.datasets.zoo import load_dataset
+        from repro.datasets.zoo import ZOO, load_dataset
 
+        if args.graph not in ZOO:
+            raise _InputError(
+                f"unknown dataset {args.graph!r} (see pmbc datasets)"
+            )
         graph = load_dataset(args.graph)
     else:
         graph = _load_graph(args.graph, args.konect)
     side = args.side
-    if args.label is not None:
-        vertex = graph.vertex_by_label(side, args.label)
-    elif args.vertex is not None:
-        vertex = args.vertex
-    else:
+    vertex = _query_vertex(graph, side, args)
+    if vertex is None:
         print("error: provide a vertex (or --label)", file=sys.stderr)
         return 2
     if args.index and not get_objective(args.objective).index_compatible:
@@ -329,10 +357,12 @@ def _cmd_topk(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph, args.konect)
     side = args.side
-    if args.label is not None:
-        vertex = graph.vertex_by_label(side, args.label)
-    else:
-        vertex = args.vertex
+    vertex = _query_vertex(graph, side, args)
+    if vertex is None:
+        print("error: provide --vertex or --label", file=sys.stderr)
+        return 2
+    if args.k < 1:
+        raise _InputError(f"-k must be >= 1, got {args.k}")
     index = _load_index(args.index)
     results = pmbc_index_topk(
         index, side, vertex, args.k, args.tau_u, args.tau_l

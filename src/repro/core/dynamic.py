@@ -11,8 +11,8 @@ scheme on top of the static constructors:
   be adjacent to the endpoint on the opposite layer.  Hence the
   **affected set** of an update is ``N(v) ∪ {u}`` on the upper layer
   and ``N(u) ∪ {v}`` on the lower layer (neighborhoods taken *after*
-  an insertion and *before* a deletion), and only those vertices'
-  search trees need rebuilding.
+  an insertion and *before* a deletion; :func:`edge_affected_sets`),
+  and only those vertices' search trees need rebuilding.
 - The (α,β)-core bounds are global pruning structures; they are
   maintained **incrementally** by
   :class:`~repro.corenum.incremental.IncrementalCoreBounds` — a bounded
@@ -22,11 +22,16 @@ scheme on top of the static constructors:
   (live neighbor sets) on both kernels.  The bounds maintainer reads
   it in place, and affected trees are rebuilt by extracting ``H_q``
   straight from it — no graph snapshot per update batch.
+- **One update path.**  :class:`LiveGraph` owns the adjacency and the
+  bounds maintainer.  A batch is checked by :func:`coerce_updates`,
+  applied by :meth:`LiveGraph.apply` (net effect per edge, two-phase
+  repair, affected sets) and its trees are rebuilt by
+  :func:`repair_trees`.  :class:`DynamicPMBCIndex` and
+  :meth:`repro.serve.PMBCService.update_batch` both run it.
 - Deleted edges can strand biclique instances in the array ``A``;
   they become unreachable (every tree referencing a broken biclique is
   in the affected set) and :meth:`DynamicPMBCIndex.compact` garbage
-  collects them — automatically every ``compact_every`` deletions when
-  that knob is set.
+  collects them.
 
 Rebuilding a tree costs the same as during construction —
 ``O(deg(x) · TC(PMBC-OL*))`` — so an update touches
@@ -35,17 +40,16 @@ Rebuilding a tree costs the same as during construction —
 
 from __future__ import annotations
 
-from typing import Iterable
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from repro.core.construction import build_search_tree
+from repro.core.construction import build_index, build_search_tree
 from repro.core.index import BicliqueArray, PMBCIndex, SearchTree
 from repro.core.query import pmbc_index_query
 from repro.core.result import Biclique
 from repro.corenum.bounds import CoreBounds
-from repro.corenum.incremental import (
-    DEFAULT_CASCADE_CAP,
-    IncrementalCoreBounds,
-)
+from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.kernel import resolve_kernel
 from repro.kernel.dynadj import DynamicPackedAdjacency
@@ -64,31 +68,75 @@ def edge_affected_sets(
     vertex ``v`` — taken *after* an insertion and *before* a deletion.
     Returns ``(affected_upper, affected_lower)``: exactly the vertices
     whose search trees the update can change (module docstring).  This
-    is the invalidation rule shared by :class:`DynamicPMBCIndex`
-    (rebuild) and :class:`repro.adaptive.PartialIndex` (evict).
+    is the invalidation rule shared by :meth:`LiveGraph.apply` (trees
+    rebuilt, engine cache entries dropped) and
+    :class:`repro.adaptive.PartialIndex` (evict).
     """
     return set(neighbors_of_v) | {u}, set(neighbors_of_u) | {v}
 
 
-class DynamicPMBCIndex:
-    """A PMBC-Index that stays correct under edge insertions/deletions.
+def coerce_updates(updates: Iterable) -> list[tuple[str, int, int]]:
+    """Check a batch of updates; return it as ``(action, u, v)`` triples.
+
+    Each update is an ``("insert"|"delete", u, v)`` triple or an
+    ``{"action", "u", "v"}`` dict, with non-negative int vertex ids.
+    The whole batch is checked before anything changes: the first bad
+    update raises :class:`ValueError` naming it.
+    """
+    ops: list[tuple[str, int, int]] = []
+    for raw in updates:
+        if isinstance(raw, dict):
+            try:
+                action, u, v = raw["action"], raw["u"], raw["v"]
+            except KeyError as exc:
+                raise ValueError(
+                    f"update missing field {exc.args[0]!r}"
+                ) from None
+        else:
+            try:
+                action, u, v = raw
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"update must be (action, u, v), got {raw!r}"
+                ) from None
+        if action not in ("insert", "delete"):
+            raise ValueError(
+                f"update action must be 'insert' or 'delete', "
+                f"got {action!r}"
+            )
+        if any(
+            isinstance(x, bool) or not isinstance(x, int) or x < 0
+            for x in (u, v)
+        ):
+            raise ValueError(
+                f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
+            )
+        ops.append((action, u, v))
+    return ops
+
+
+@dataclass(frozen=True)
+class AppliedBatch:
+    """What one :meth:`LiveGraph.apply` changed."""
+
+    inserts: int    # effective insertions
+    deletes: int    # effective deletions
+    noops: int      # requested updates that changed nothing
+    cascade: int    # vertices touched by bound-repair cascades
+    #: ``(side, vertex)`` pairs whose search trees the batch can change.
+    affected: set[tuple[Side, int]]
+
+
+class LiveGraph:
+    """The live adjacency of a mutating graph and its bounds maintainer.
 
     Parameters
     ----------
     graph:
         The starting graph.
     use_core_bounds:
-        Maintain (α,β)-core bounds (PMBC-OL* pruning) incrementally.
-    compact_every:
-        When set, :meth:`compact` runs automatically after every this
-        many effective deletions (``None`` — the default — disables
-        auto-GC; stranded bicliques then accumulate until an explicit
-        :meth:`compact`).
-    kernel:
-        Compute kernel for tree rebuilds; both kernels extract ``H_q``
-        straight from the live :class:`DynamicPackedAdjacency`.
-    cascade_cap:
-        Tuning knob forwarded to the incremental bounds.
+        Maintain (α,β)-core bounds incrementally; without them
+        :attr:`maintainer` and :attr:`bounds` are None.
     bounds:
         Optional existing :class:`CoreBounds` of ``graph`` to adopt —
         it is then repaired in place, so external holders (engines,
@@ -99,57 +147,196 @@ class DynamicPMBCIndex:
         self,
         graph: BipartiteGraph,
         use_core_bounds: bool = True,
-        compact_every: int | None = None,
-        kernel: str | None = None,
-        cascade_cap: int = DEFAULT_CASCADE_CAP,
         bounds: CoreBounds | None = None,
     ) -> None:
-        self._use_core_bounds = use_core_bounds
-        self._kernel = resolve_kernel(kernel)
-        self._dyn = DynamicPackedAdjacency(graph)
-        self._inc = (
-            IncrementalCoreBounds(
-                self._dyn, bounds=bounds, cascade_cap=cascade_cap
-            )
+        #: The one live adjacency (changed only by :meth:`apply`).
+        self.adjacency = DynamicPackedAdjacency(graph)
+        #: The incremental bounds maintainer reading :attr:`adjacency`.
+        self.maintainer = (
+            IncrementalCoreBounds(self.adjacency, bounds=bounds)
             if use_core_bounds
             else None
         )
-        self.compact_every = compact_every
-        self._snapshot: BipartiteGraph | None = None
-        self._array = BicliqueArray()
-        self._trees: dict[Side, list[SearchTree]] = {}
+
+    @property
+    def bounds(self) -> CoreBounds | None:
+        """The live bounds, repaired in place (None without them)."""
+        return None if self.maintainer is None else self.maintainer.bounds
+
+    def ensure_vertex(self, side: Side, x: int) -> None:
+        """Extend ``side`` so vertex id ``x`` exists (isolated if new)."""
+        self.adjacency.ensure_vertex(side, x)
+        if self.maintainer is not None:
+            self.maintainer.ensure_vertex(side, x)
+
+    def apply(
+        self,
+        ops: list[tuple[str, int, int]],
+        publish: Callable[[BipartiteGraph, set[tuple[Side, int]]], None]
+        | None = None,
+    ) -> AppliedBatch:
+        """Apply checked updates (see :func:`coerce_updates`) by net effect.
+
+        Repeated updates to one edge collapse to the last one; a net
+        no-op (inserting a present edge, deleting an absent one) is
+        only counted.  Unknown vertex ids of an effective insert extend
+        the layers.  The rest runs in two phases, so that a reader of
+        the bounds sees valid upper bounds for whichever graph it
+        reads:
+
+        1. Inserts change the adjacency and repair the bounds, one
+           edge at a time.
+        2. Deletes leave the adjacency; ``publish(snapshot, affected)``
+           (when given) hands the new graph to readers; then the
+           deletes repair the bounds, gated on the endpoint degrees
+           from before the first delete.
+
+        Each phase defers the bound-row refresh to its end.  When
+        nothing changed, ``publish`` is not called.
+        """
+        adjacency, maintainer = self.adjacency, self.maintainer
+        final: dict[tuple[int, int], str] = {}
+        for action, u, v in ops:
+            final[(u, v)] = action
+        inserts: list[tuple[int, int]] = []
+        deletes: list[tuple[int, int]] = []
+        for (u, v), action in final.items():
+            present = adjacency.has_edge(u, v)
+            if action == "insert" and not present:
+                inserts.append((u, v))
+            elif action == "delete" and present:
+                deletes.append((u, v))
+        noops = len(ops) - len(inserts) - len(deletes)
+        affected: set[tuple[Side, int]] = set()
+        if not inserts and not deletes:
+            return AppliedBatch(0, 0, noops, 0, affected)
+        cascade = 0
+        # The `with` exit flushes the inserts' bound rows, which must
+        # happen before publish hands readers the grown graph.
+        with (
+            maintainer.defer_refresh()
+            if maintainer is not None
+            else nullcontext()
+        ):
+            for u, v in inserts:
+                adjacency.insert_edge(u, v)
+                if maintainer is not None:
+                    cascade += maintainer.insert_edge(u, v).cascade
+                self._mark_affected(affected, u, v)
+        gates = [
+            (adjacency.degree(Side.UPPER, u), adjacency.degree(Side.LOWER, v))
+            for u, v in deletes
+        ]
+        for u, v in deletes:
+            self._mark_affected(affected, u, v)
+            adjacency.delete_edge(u, v)
+        if publish is not None:
+            publish(adjacency.snapshot(), affected)
+        if maintainer is not None:
+            with maintainer.defer_refresh():
+                for (u, v), (deg_u, deg_v) in zip(deletes, gates):
+                    cascade += maintainer.delete_edge(
+                        u, v, deg_u, deg_v
+                    ).cascade
+        return AppliedBatch(
+            len(inserts), len(deletes), noops, cascade, affected
+        )
+
+    def _mark_affected(
+        self, affected: set[tuple[Side, int]], u: int, v: int
+    ) -> None:
+        upper, lower = edge_affected_sets(
+            self.adjacency.neighbors(Side.UPPER, u),
+            self.adjacency.neighbors(Side.LOWER, v),
+            u,
+            v,
+        )
+        affected.update((Side.UPPER, x) for x in upper)
+        affected.update((Side.LOWER, x) for x in lower)
+
+
+def repair_trees(
+    index: PMBCIndex,
+    adjacency: DynamicPackedAdjacency,
+    affected: set[tuple[Side, int]],
+    bounds: CoreBounds | None,
+    kernel: str | None,
+) -> int:
+    """Grow ``index`` to ``adjacency``'s size and rebuild ``affected``.
+
+    New vertices get empty trees.  Each affected tree is rebuilt in
+    place from the live sets (upper layer first, ascending ids), its
+    bicliques added to ``index.array``.  Returns the number of trees
+    rebuilt.
+    """
+    for side in Side:
+        trees = index.trees.setdefault(side, [])
+        while len(trees) < adjacency.num_vertices_on(side):
+            trees.append(SearchTree())
+    index.num_upper = adjacency.num_vertices_on(Side.UPPER)
+    index.num_lower = adjacency.num_vertices_on(Side.LOWER)
+    for side, x in sorted(
+        affected, key=lambda key: (key[0] is Side.LOWER, key[1])
+    ):
+        index.trees[side][x] = build_search_tree(
+            adjacency, side, x, index.array, bounds, kernel=kernel
+        )
+    return len(affected)
+
+
+class DynamicPMBCIndex:
+    """A PMBC-Index that stays correct under edge insertions/deletions.
+
+    One :class:`LiveGraph` plus one :class:`PMBCIndex` whose affected
+    trees :func:`repair_trees` rebuilds after every batch.
+
+    Parameters
+    ----------
+    graph:
+        The starting graph.
+    use_core_bounds:
+        Maintain (α,β)-core bounds (PMBC-OL* pruning) incrementally.
+    kernel:
+        Compute kernel for tree builds; both kernels extract ``H_q``
+        straight from the live :class:`DynamicPackedAdjacency`.
+    """
+
+    def __init__(
+        self,
+        graph: BipartiteGraph,
+        use_core_bounds: bool = True,
+        kernel: str | None = None,
+    ) -> None:
+        self._kernel = resolve_kernel(kernel)
+        self._live = LiveGraph(graph, use_core_bounds)
+        self._index = build_index(
+            graph,
+            bounds=self._live.bounds,
+            use_core_bounds=False,
+            kernel=self._kernel,
+        )
         self.trees_rebuilt = 0
         self.noop_updates = 0
-        self.auto_compactions = 0
-        self._deletions_since_compact = 0
-        self._rebuild_all()
 
     # ------------------------------------------------------------------
     # Graph state
     # ------------------------------------------------------------------
     def graph(self) -> BipartiteGraph:
         """An immutable snapshot of the current graph."""
-        if self._snapshot is None:
-            self._snapshot = self._dyn.snapshot()
-        return self._snapshot
+        return self._live.adjacency.snapshot()
 
     def num_vertices_on(self, side: Side) -> int:
         """Current vertex count on ``side`` (including isolated)."""
-        return self._dyn.num_vertices_on(side)
+        return self._live.adjacency.num_vertices_on(side)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` (upper id, lower id) currently exists."""
-        return self._dyn.has_edge(u, v)
+        return self._live.adjacency.has_edge(u, v)
 
     @property
     def index(self) -> PMBCIndex:
-        """The current index as a plain (static) PMBCIndex view."""
-        return PMBCIndex(
-            num_upper=self._dyn.num_vertices_on(Side.UPPER),
-            num_lower=self._dyn.num_vertices_on(Side.LOWER),
-            trees=self._trees,
-            array=self._array,
-        )
+        """The maintained index (every update changes it in place)."""
+        return self._index
 
     # ------------------------------------------------------------------
     # Queries
@@ -158,7 +345,7 @@ class DynamicPMBCIndex:
         self, side: Side, q: int, tau_u: int = 1, tau_l: int = 1
     ) -> Biclique | None:
         """PMBC-IQ against the maintained index."""
-        return pmbc_index_query(self.index, side, q, tau_u, tau_l)
+        return pmbc_index_query(self._index, side, q, tau_u, tau_l)
 
     # ------------------------------------------------------------------
     # Updates
@@ -179,85 +366,39 @@ class DynamicPMBCIndex:
         """
         return self.apply_updates([("delete", u, v)])
 
-    def apply_updates(
-        self, updates: list[tuple[str, int, int]]
-    ) -> int:
+    def apply_updates(self, updates: Iterable) -> int:
         """Apply a batch of ``("insert"|"delete", u, v)`` updates.
 
-        All graph mutations happen first, then the union of affected
-        trees is rebuilt once — cheaper than per-edge maintenance when
-        updates cluster around the same vertices.  Returns the number
-        of trees rebuilt.  No-op updates (deleting a missing edge,
-        inserting an existing one) are skipped for free and counted in
-        :attr:`noop_updates` — they trigger no bounds work and no
-        rebuilds; a batch of only no-ops leaves the index untouched.
-        Core bounds are repaired incrementally per effective update,
-        never recomputed from scratch.  The whole batch is checked
-        first (a known action and non-negative int ids): a bad update
-        raises :class:`ValueError` before anything changes.
+        The batch runs :meth:`LiveGraph.apply`: repeated updates to
+        one edge collapse to their net effect, and no-op updates
+        (deleting a missing edge, inserting an existing one) are only
+        counted in :attr:`noop_updates` — no bounds work, no rebuilds.
+        Core bounds are repaired incrementally, never recomputed from
+        scratch; then the union of affected trees is rebuilt once.
+        Returns the number of trees rebuilt.  A bad update raises
+        :class:`ValueError` before anything changes
+        (:func:`coerce_updates`).
         """
-        updates = list(updates)
-        for action, u, v in updates:
-            if action not in ("insert", "delete"):
-                raise ValueError(f"unknown update action {action!r}")
-            if any(
-                isinstance(x, bool) or not isinstance(x, int) or x < 0
-                for x in (u, v)
-            ):
-                raise ValueError(
-                    f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
-                )
-        dyn = self._dyn
-        affected_upper: set[int] = set()
-        affected_lower: set[int] = set()
-        deletions = 0
-        for action, u, v in updates:
-            if action == "insert":
-                self._grow(Side.UPPER, u)
-                self._grow(Side.LOWER, v)
-                if not dyn.insert_edge(u, v):
-                    self.noop_updates += 1
-                    continue
-                if self._inc is not None:
-                    self._inc.insert_edge(u, v)
-                affected_upper |= dyn.neighbors(Side.LOWER, v)
-                affected_lower |= dyn.neighbors(Side.UPPER, u)
-            else:
-                if not dyn.has_edge(u, v):
-                    self.noop_updates += 1
-                    continue
-                affected_upper |= dyn.neighbors(Side.LOWER, v)
-                affected_lower |= dyn.neighbors(Side.UPPER, u)
-                dyn.delete_edge(u, v)
-                if self._inc is not None:
-                    self._inc.delete_edge(u, v)
-                deletions += 1
-            affected_upper.add(u)
-            affected_lower.add(v)
-        if not affected_upper and not affected_lower:
-            return 0  # pure no-op batch: nothing moved, nothing to do
-        self._snapshot = None
-        rebuilt = self._rebuild(affected_upper, affected_lower)
-        if deletions:
-            self._deletions_since_compact += deletions
-            if (
-                self.compact_every is not None
-                and self._deletions_since_compact >= self.compact_every
-            ):
-                self.compact()
-                self.auto_compactions += 1
+        batch = self._live.apply(coerce_updates(updates))
+        self.noop_updates += batch.noops
+        rebuilt = repair_trees(
+            self._index,
+            self._live.adjacency,
+            batch.affected,
+            self._live.bounds,
+            self._kernel,
+        )
+        self.trees_rebuilt += rebuilt
         return rebuilt
 
     def delete_vertex(self, side: Side, v: int) -> int:
         """Remove all incident edges of ``v`` (the vertex id remains,
         with an empty tree).  Returns the number of trees rebuilt."""
-        if not 0 <= v < self._dyn.num_vertices_on(side):
+        if not 0 <= v < self.num_vertices_on(side):
             raise ValueError(
                 f"vertex {v} out of range for the {side.value} layer"
             )
-        neighbors = sorted(self._dyn.neighbors(side, v))
-        if not neighbors:
-            return 0
+        neighbors = sorted(self._live.adjacency.neighbors(side, v))
         if side is Side.UPPER:
             updates = [("delete", v, w) for w in neighbors]
         else:
@@ -271,39 +412,37 @@ class DynamicPMBCIndex:
 
         Returns ``(new_vertex_id, trees_rebuilt)``.
         """
-        new_id = self._dyn.num_vertices_on(side)
-        if not neighbors:
-            self._grow(side, new_id)
-            return new_id, 0
+        new_id = self.num_vertices_on(side)
         if side is Side.UPPER:
             updates = [("insert", new_id, w) for w in sorted(set(neighbors))]
         else:
             updates = [("insert", w, new_id) for w in sorted(set(neighbors))]
-        rebuilt = self.apply_updates(updates)
-        return new_id, rebuilt
+        if not updates:
+            self._live.ensure_vertex(side, new_id)
+        return new_id, self.apply_updates(updates)
 
     def compact(self) -> int:
         """Garbage-collect unreferenced bicliques; returns the number
         removed.  Tree pointers are remapped in place."""
-        self._deletions_since_compact = 0
+        index = self._index
         referenced: set[int] = set()
         for side in Side:
-            for tree in self._trees[side]:
+            for tree in index.trees[side]:
                 for node in tree.walk():
                     if node.biclique_id is not None:
                         referenced.add(node.biclique_id)
         fresh = BicliqueArray()
         remap: dict[int, int] = {}
         for old_id in sorted(referenced):
-            new_id, __ = fresh.add(self._array[old_id])
+            new_id, __ = fresh.add(index.array[old_id])
             remap[old_id] = new_id
-        removed = len(self._array) - len(fresh)
+        removed = len(index.array) - len(fresh)
         for side in Side:
-            for tree in self._trees[side]:
+            for tree in index.trees[side]:
                 for node in tree.walk():
                     if node.biclique_id is not None:
                         node.biclique_id = remap[node.biclique_id]
-        self._array = fresh
+        index.array = fresh
         return removed
 
     def stats(self) -> dict:
@@ -311,64 +450,9 @@ class DynamicPMBCIndex:
         out = {
             "trees_rebuilt": self.trees_rebuilt,
             "noop_updates": self.noop_updates,
-            "auto_compactions": self.auto_compactions,
-            "deletions_since_compact": self._deletions_since_compact,
             "kernel": self._kernel,
         }
-        if self._inc is not None:
-            out["bounds"] = self._inc.stats()
-        out["adjacency"] = self._dyn.stats()
+        if self._live.maintainer is not None:
+            out["bounds"] = self._live.maintainer.stats()
+        out["adjacency"] = self._live.adjacency.stats()
         return out
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _grow(self, side: Side, v: int) -> None:
-        if v < self._dyn.num_vertices_on(side):
-            return
-        if self._inc is not None:
-            self._inc.ensure_vertex(side, v)
-        self._dyn.ensure_vertex(side, v)
-        while v >= len(self._trees[side]):
-            self._trees[side].append(SearchTree())
-        self._snapshot = None
-
-    def _current_bounds(self) -> CoreBounds | None:
-        if self._inc is None:
-            return None
-        return self._inc.bounds
-
-    def _rebuild(
-        self, affected_upper: set[int], affected_lower: set[int]
-    ) -> int:
-        bounds = self._current_bounds()
-        count = 0
-        for side, affected in (
-            (Side.UPPER, affected_upper),
-            (Side.LOWER, affected_lower),
-        ):
-            for x in affected:
-                self._trees[side][x] = build_search_tree(
-                    self._dyn,
-                    side,
-                    x,
-                    self._array,
-                    bounds,
-                    kernel=self._kernel,
-                )
-                count += 1
-        self.trees_rebuilt += count
-        return count
-
-    def _rebuild_all(self) -> None:
-        graph = self.graph()
-        bounds = self._current_bounds()
-        self._trees = {
-            side: [
-                build_search_tree(
-                    graph, side, q, self._array, bounds, kernel=self._kernel
-                )
-                for q in range(graph.num_vertices_on(side))
-            ]
-            for side in Side
-        }

@@ -45,15 +45,17 @@ suitable for heavy concurrent traffic:
   byte budget, and the resulting trees serve the head of the traffic
   distribution at index speed;
 - **streaming graph updates** (:meth:`PMBCService.update_batch`): edge
-  insertions/deletions applied against the live service with
-  incremental (α,β)-core repair
-  (:class:`~repro.corenum.incremental.IncrementalCoreBounds`), scoped
-  invalidation of engine cache / partial index / mounted index trees
-  via :func:`~repro.core.dynamic.edge_affected_sets`, and a two-phase
+  insertions/deletions run the update path of
+  :mod:`repro.core.dynamic`, the same one
+  :class:`~repro.core.dynamic.DynamicPMBCIndex` runs — incremental
+  (α,β)-core repair, scoped invalidation of engine cache / partial
+  index / mounted index trees via
+  :func:`~repro.core.dynamic.edge_affected_sets`, and a two-phase
   ordering that keeps concurrent queries sound: inserts repair bounds
   *before* the graph swap (raised bounds are still valid upper bounds
   for the old graph), deletions swap *before* repairing (the old
-  bounds stay valid-looser for the shrunk graph);
+  bounds stay valid-looser for the shrunk graph).  The service adds
+  its lock, the wire-only checks, the graph swap and the metrics;
 - **metrics** for all of the above (see :mod:`repro.serve.metrics`).
 """
 
@@ -63,21 +65,18 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 
 from repro.adaptive.builder import BackgroundBuilder
 from repro.adaptive.hotset import HotSetTracker
 from repro.adaptive.partial import MISS, PartialIndex
-from repro.core.construction import build_search_tree
-from repro.core.dynamic import edge_affected_sets
+from repro.core.dynamic import LiveGraph, coerce_updates, repair_trees
 from repro.core.engine import PMBCQueryEngine
-from repro.core.index import PMBCIndex, SearchTree
+from repro.core.index import PMBCIndex
 from repro.core.online import pmbc_online_star
 from repro.core.query import QueryRequest, pmbc_index_query
 from repro.core.result import Biclique
-from repro.corenum.incremental import IncrementalCoreBounds
 from repro.exec.executor import (
     EXECUTION_KINDS,
     Executor,
@@ -87,7 +86,6 @@ from repro.exec.executor import (
 from repro.exec.tasks import WorkerState
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.kernel import KERNEL_KINDS
-from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.objectives import get_objective, objective_kinds
 from repro.obs.metrics_bridge import publish_trace, register_search_metrics
 from repro.obs.ring import TraceRing
@@ -676,8 +674,7 @@ class PMBCService:
         # Streaming-update state, built lazily on the first update (the
         # incremental maintainer re-peels the sweep family once, which
         # costs one compute_bounds; read-only deployments never pay it).
-        self._updater: IncrementalCoreBounds | None = None
-        self._dynadj: DynamicPackedAdjacency | None = None
+        self._live: LiveGraph | None = None
         self._update_lock = threading.Lock()
         self._exec_degraded = False
         self._fallback_executor: ThreadBackend | None = None
@@ -1490,72 +1487,17 @@ class PMBCService:
     # ------------------------------------------------------------------
     # streaming updates
 
-    def _ensure_updater(self) -> None:
-        """Build the lazy update state (caller holds ``_update_lock``).
-
-        The dynamic adjacency is the one live adjacency on both kernels
-        (presence checks, affected sets, tree rebuilds and snapshots
-        read it); the incremental bounds maintainer, which exists when
-        core bounds are on, reads it too.
-        """
-        if self._dynadj is None:
-            self._dynadj = DynamicPackedAdjacency(self.graph)
-        if self._updater is None and self.config.use_core_bounds:
-            self._updater = IncrementalCoreBounds(
-                self._dynadj, bounds=self.engine.bounds
-            )
-
-    def _coerce_updates(self, updates) -> list[tuple[str, int, int]]:
-        ops: list[tuple[str, int, int]] = []
-        for raw in updates:
-            if isinstance(raw, dict):
-                try:
-                    action, u, v = raw["action"], raw["u"], raw["v"]
-                except KeyError as exc:
-                    raise InvalidRequestError(
-                        f"update missing field {exc.args[0]!r}"
-                    ) from None
-            else:
-                try:
-                    action, u, v = raw
-                except (TypeError, ValueError):
-                    raise InvalidRequestError(
-                        f"update must be (action, u, v), got {raw!r}"
-                    ) from None
-            if action not in ("insert", "delete"):
-                raise InvalidRequestError(
-                    f"update action must be 'insert' or 'delete', "
-                    f"got {action!r}"
-                )
-            if (
-                not isinstance(u, int)
-                or not isinstance(v, int)
-                or isinstance(u, bool)
-                or isinstance(v, bool)
-                or u < 0
-                or v < 0
-            ):
-                raise InvalidRequestError(
-                    f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
-                )
-            if action == "insert" and (
-                u >= self.graph.num_upper + MAX_LAYER_GROWTH
-                or v >= self.graph.num_lower + MAX_LAYER_GROWTH
-            ):
-                raise InvalidRequestError(
-                    f"insert ({u}, {v}) would grow a layer by more than "
-                    f"{MAX_LAYER_GROWTH} vertices"
-                )
-            ops.append((action, u, v))
-        if not ops:
-            raise InvalidRequestError("update batch must contain >= 1 edge")
-        return ops
-
     def update_batch(self, updates) -> UpdateResult:
         """Apply edge updates to the live service, incrementally.
 
         ``updates`` is a sequence of ``("insert"|"delete", u, v)``
-        triples (or ``{"action", "u", "v"}`` dicts).  Repeated updates
+        triples (or ``{"action", "u", "v"}`` dicts).  The batch runs
+        the one update path of :mod:`repro.core.dynamic`: it is checked
+        by :func:`~repro.core.dynamic.coerce_updates` (a bad update, an
+        empty batch or an insert more than :data:`MAX_LAYER_GROWTH`
+        past a layer raises :class:`InvalidRequestError` before
+        anything changes) and applied by
+        :meth:`~repro.core.dynamic.LiveGraph.apply`.  Repeated updates
         to the same edge collapse to their net effect; net no-ops
         (inserting a present edge, deleting an absent one) are free and
         only counted.  Everything is scoped by
@@ -1578,117 +1520,62 @@ class PMBCService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         start = time.monotonic()
-        ops = self._coerce_updates(updates)
-        with self._update_lock:
-            self._ensure_updater()
-            dyn = self._dynadj
-            final: dict[tuple[int, int], str] = {}
-            for action, u, v in ops:
-                final[(u, v)] = action
-            inserts: list[tuple[int, int]] = []
-            deletes: list[tuple[int, int]] = []
-            for (u, v), action in final.items():
-                present = dyn.has_edge(u, v)
-                if action == "insert" and not present:
-                    inserts.append((u, v))
-                elif action == "delete" and present:
-                    deletes.append((u, v))
-            applied = len(inserts) + len(deletes)
-            noops = len(ops) - applied
-            if not applied:
-                seconds = time.monotonic() - start
-                self._updates.inc(noops, kind="noop")
-                self._update_batches.inc()
-                self._update_latency.observe(seconds)
-                return UpdateResult(
-                    applied=0,
-                    noops=noops,
-                    inserts=0,
-                    deletes=0,
-                    trees_repaired=0,
-                    evicted=0,
-                    cascade=0,
-                    seconds=seconds,
-                )
-            cascade = 0
-            affected: set[tuple[Side, int]] = set()
-            # Phase 1 — insertions: patch the adjacency, then repair the
-            # bounds from it, one edge at a time.  Affected sets read the
-            # *post-insert* neighborhoods.  The bound-row refresh is
-            # deferred across the whole insert phase (overlapping
-            # neighborhoods refresh once) and flushed by the `with` exit
-            # — before the snapshot swap publishes the new graph,
-            # keeping the two-phase ordering sound.
-            with (
-                self._updater.defer_refresh()
-                if self._updater is not None
-                else nullcontext()
+        try:
+            ops = coerce_updates(updates)
+        except ValueError as exc:
+            raise InvalidRequestError(str(exc)) from None
+        if not ops:
+            raise InvalidRequestError("update batch must contain >= 1 edge")
+        for action, u, v in ops:
+            if action == "insert" and (
+                u >= self.graph.num_upper + MAX_LAYER_GROWTH
+                or v >= self.graph.num_lower + MAX_LAYER_GROWTH
             ):
-                for u, v in inserts:
-                    dyn.insert_edge(u, v)
-                    if self._updater is not None:
-                        cascade += self._updater.insert_edge(u, v).cascade
-                    up, low = edge_affected_sets(
-                        dyn.neighbors(Side.UPPER, u),
-                        dyn.neighbors(Side.LOWER, v),
-                        u,
-                        v,
-                    )
-                    affected.update((Side.UPPER, x) for x in up)
-                    affected.update((Side.LOWER, x) for x in low)
-            # Deletions: affected sets read the *pre-delete*
-            # neighborhoods, then the adjacency is patched (the swap
-            # snapshot must already exclude these edges).  The repairs
-            # come after the swap, so their sweep gates are the
-            # endpoint degrees from before the first delete.
-            gates = [
-                (dyn.degree(Side.UPPER, u), dyn.degree(Side.LOWER, v))
-                for u, v in deletes
-            ]
-            for u, v in deletes:
-                up, low = edge_affected_sets(
-                    dyn.neighbors(Side.UPPER, u),
-                    dyn.neighbors(Side.LOWER, v),
-                    u,
-                    v,
+                raise InvalidRequestError(
+                    f"insert ({u}, {v}) would grow a layer by more than "
+                    f"{MAX_LAYER_GROWTH} vertices"
                 )
-                affected.update((Side.UPPER, x) for x in up)
-                affected.update((Side.LOWER, x) for x in low)
-                dyn.delete_edge(u, v)
-            new_graph = dyn.snapshot()
-            self._swap_graph(new_graph, affected)
-            # Phase 2 — deletions repair bounds after the swap (the
-            # refresh defers across the phase; mid-phase bounds stay
-            # valid upper bounds for the already-shrunk graph).
-            if self._updater is not None:
-                with self._updater.defer_refresh():
-                    for (u, v), (deg_u, deg_v) in zip(deletes, gates):
-                        cascade += self._updater.delete_edge(
-                            u, v, deg_u, deg_v
-                        ).cascade
-            trees = self._repair_index(affected)
-            evicted = self._evict_partial(affected)
+        with self._update_lock:
+            if self._live is None:
+                self._live = LiveGraph(
+                    self.graph,
+                    self.config.use_core_bounds,
+                    bounds=self.engine.bounds,
+                )
+            batch = self._live.apply(ops, publish=self._swap_graph)
+            trees = 0
+            if self._index_backend is not None:
+                trees = repair_trees(
+                    self._index_backend._index,
+                    self._live.adjacency,
+                    batch.affected,
+                    self._live.bounds,
+                    self.engine.kernel,
+                )
+            evicted = self._evict_partial(batch.affected)
         seconds = time.monotonic() - start
-        if inserts:
-            self._updates.inc(len(inserts), kind="insert")
-        if deletes:
-            self._updates.inc(len(deletes), kind="delete")
-        if noops:
-            self._updates.inc(noops, kind="noop")
+        applied = batch.inserts + batch.deletes
+        if batch.inserts:
+            self._updates.inc(batch.inserts, kind="insert")
+        if batch.deletes:
+            self._updates.inc(batch.deletes, kind="delete")
+        if batch.noops:
+            self._updates.inc(batch.noops, kind="noop")
         self._update_batches.inc()
-        self._update_cascade.inc(cascade)
-        self._update_trees.inc(trees)
+        if applied:
+            self._update_cascade.inc(batch.cascade)
+            self._update_trees.inc(trees)
         if evicted:
             self._update_evictions.inc(evicted)
         self._update_latency.observe(seconds)
         return UpdateResult(
             applied=applied,
-            noops=noops,
-            inserts=len(inserts),
-            deletes=len(deletes),
+            noops=batch.noops,
+            inserts=batch.inserts,
+            deletes=batch.deletes,
             trees_repaired=trees,
             evicted=evicted,
-            cascade=cascade,
+            cascade=batch.cascade,
             seconds=seconds,
         )
 
@@ -1729,39 +1616,6 @@ class PMBCService:
             self._fallback_executor.state.graph = graph
         if self.builder is not None:
             self.builder.update_graph(graph, executor=self._fallback_executor)
-
-    def _repair_index(self, affected: set[tuple[Side, int]]) -> int:
-        """Rebuild the mounted index's affected trees in place."""
-        if self._index_backend is None:
-            return 0
-        index = self._index_backend._index
-        for side, count in (
-            (Side.UPPER, self.graph.num_upper),
-            (Side.LOWER, self.graph.num_lower),
-        ):
-            trees = index.trees.setdefault(side, [])
-            while len(trees) < count:
-                trees.append(SearchTree())
-        index.num_upper = self.graph.num_upper
-        index.num_lower = self.graph.num_lower
-        # Both kernels extract H_q straight from the live adjacency.
-        bounds = self.engine.bounds
-        count = 0
-        for side, x in affected:
-            trees = index.trees[side]
-            if x >= len(trees):
-                continue
-            trees[x] = build_search_tree(
-                self._dynadj,
-                side,
-                x,
-                index.array,
-                bounds,
-                None,
-                kernel=self.engine.kernel,
-            )
-            count += 1
-        return count
 
     def _evict_partial(self, affected) -> int:
         """Drop affected adaptive trees; the builder re-warms hot ones."""
@@ -1862,6 +1716,7 @@ class PMBCService:
     def stats(self) -> dict:
         """A JSON-friendly snapshot for ``/stats`` and dashboards."""
         cache = self.engine.cache_stats()
+        live = self._live
         adaptive = None
         if self.partial_index is not None:
             adaptive = {
@@ -1951,11 +1806,11 @@ class PMBCService:
                 "trees_repaired": int(self._update_trees.total()),
                 "partial_evictions": int(self._update_evictions.total()),
                 "exec_degraded": self._exec_degraded,
-                "bounds": self._updater.stats()
-                if self._updater is not None
+                "bounds": live.maintainer.stats()
+                if live is not None and live.maintainer is not None
                 else None,
-                "adjacency": self._dynadj.stats()
-                if self._dynadj is not None
+                "adjacency": live.adjacency.stats()
+                if live is not None
                 else None,
             },
         }

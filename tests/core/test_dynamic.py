@@ -221,8 +221,8 @@ def test_apply_updates_noops_are_free_and_counted(paper_graph):
     assert rebuilt == 0
     assert dynamic.trees_rebuilt == before
     assert dynamic.noop_updates == 2
-    if dynamic._inc is not None:
-        assert dynamic._inc.updates == 0
+    if dynamic._live.maintainer is not None:
+        assert dynamic._live.maintainer.updates == 0
     with pytest.raises(ValueError):
         dynamic.apply_updates([("upsert", 0, 0)])
     _assert_matches_fresh_build(dynamic)
@@ -249,8 +249,8 @@ def test_bounds_repaired_incrementally_never_recomputed(
     # Both directions repair the live bounds in place: compute_bounds
     # never runs, yet the bounds stay exactly equal to a recompute.
     assert calls == []
-    assert dynamic._inc.updates == 2
-    dynamic._inc.verify()
+    assert dynamic._live.maintainer.updates == 2
+    dynamic._live.maintainer.verify()
     _assert_matches_fresh_build(dynamic)
 
 

@@ -8,7 +8,9 @@ its snapshot, and identical personalized answers on both kernels, with
 queries interleaved throughout the stream.  The two update surfaces,
 :class:`~repro.core.dynamic.DynamicPMBCIndex` and
 :meth:`~repro.serve.PMBCService.update_batch`, must also behave
-identically on the ``set`` and ``bitset`` kernels.
+identically on the ``set`` and ``bitset`` kernels, and like each other
+on every batch — cancelling ones included — since both run one update
+path.
 """
 
 from __future__ import annotations
@@ -220,10 +222,14 @@ def _update_stream(graph, seed, num_batches=6, batch_size=6):
             num_upper += 1
             edges.add(edge)
             batch.append(("insert", *edge))
-        rows = [[] for __ in range(num_upper)]
-        for u, v in edges:
-            rows[u].append(v)
-        yield batch, BipartiteGraph(rows, num_lower=num_lower)
+        yield batch, _graph_of(edges, num_upper, num_lower)
+
+
+def _graph_of(edges, num_upper, num_lower):
+    rows = [[] for __ in range(num_upper)]
+    for u, v in edges:
+        rows[u].append(v)
+    return BipartiteGraph(rows, num_lower=num_lower)
 
 
 def _sampled_queries(graph):
@@ -298,7 +304,7 @@ def test_service_set_and_bitset_agree_under_updates():
             assert results["set"] == results["bitset"], step
             assert results["set"].trees_repaired > 0, step
             for svc in services.values():
-                svc._updater.verify()
+                svc._live.maintainer.verify()
             _assert_kernels_match_rebuild(
                 lambda k, side, q, tau: services[k]
                 .query(side, q, *tau)
@@ -306,3 +312,77 @@ def test_service_set_and_bitset_agree_under_updates():
                 rebuilt,
                 step,
             )
+
+
+def _one_path_batches(graph):
+    """Batches where a per-update path and a net-effect path part ways.
+
+    Yields ``(batch, rebuilt)`` like :func:`_update_stream`: an absent
+    edge inserted and deleted, a present edge deleted and re-inserted
+    (two no-ops each), a repeated insert, a growth of both layers, and
+    the deletion of every edge of the top-degree upper vertex.
+    """
+    edges = set(graph.edges())
+    num_upper, num_lower = graph.num_upper, graph.num_lower
+    absent = next(
+        (u, v)
+        for u in range(num_upper)
+        for v in range(num_lower)
+        if (u, v) not in edges
+    )
+    present = min(edges)
+    top = max(range(num_upper), key=lambda u: graph.degree(Side.UPPER, u))
+    batches = [
+        [("insert", *absent), ("delete", *absent)],
+        [("delete", *present), ("insert", *present)],
+        [("insert", *absent), ("insert", *absent)],
+        [("insert", num_upper + 2, 0), ("insert", 0, num_lower)],
+        None,  # every edge of `top`, read when the batch is due
+    ]
+    for batch in batches:
+        if batch is None:
+            batch = [("delete", u, v) for u, v in sorted(edges) if u == top]
+        for action, u, v in batch:
+            if action == "insert":
+                edges.add((u, v))
+                num_upper = max(num_upper, u + 1)
+                num_lower = max(num_lower, v + 1)
+            else:
+                edges.discard((u, v))
+        yield batch, _graph_of(edges, num_upper, num_lower)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_both_surfaces_run_one_update_path(kernel):
+    """``DynamicPMBCIndex.apply_updates`` and ``PMBCService.update_batch``
+    count the same no-ops, rebuild the same trees and leave the same
+    adjacency and exact bounds on every batch; both answer like a
+    rebuild."""
+    graph = power_law_bipartite(36, 28, 150, 1.6, seed=41)
+    dynamic = DynamicPMBCIndex(graph, kernel=kernel)
+    config = ServiceConfig(kernel=kernel, num_workers=1)
+    with PMBCService(
+        graph, index=build_index_star(graph), config=config
+    ) as svc:
+        for step, (batch, rebuilt) in enumerate(_one_path_batches(graph)):
+            noops_before = dynamic.noop_updates
+            trees = dynamic.apply_updates(batch)
+            result = svc.update_batch(batch)
+            assert dynamic.noop_updates - noops_before == result.noops, step
+            assert trees == result.trees_repaired, step
+            assert (
+                dynamic._live.adjacency.canonical_bytes()
+                == svc._live.adjacency.canonical_bytes()
+                == DynamicPackedAdjacency(rebuilt).canonical_bytes()
+            ), step
+            dynamic._live.maintainer.verify()
+            svc._live.maintainer.verify()
+            for side, q, tau in _sampled_queries(rebuilt):
+                want = _edge_count(pmbc_online(rebuilt, side, q, *tau))
+                got = (
+                    dynamic.query(side, q, *tau),
+                    svc.query(side, q, *tau).biclique,
+                )
+                assert tuple(map(_edge_count, got)) == (want, want), (
+                    step, side, q, tau,
+                )

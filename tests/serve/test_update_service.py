@@ -124,7 +124,7 @@ def test_bounds_match_recompute_after_churn():
                 v = rng.randrange(graph.num_lower)
                 ops.append((rng.choice(("insert", "delete")), u, v))
             svc.update_batch(ops)
-            svc._updater.verify()
+            svc._live.maintainer.verify()
         exact = compute_bounds(svc.graph)
         live = svc.engine.bounds
         for side in Side:
@@ -149,7 +149,7 @@ def test_deletes_sharing_an_endpoint_repair_exactly(kernel):
     with PMBCService(graph, config=ServiceConfig(kernel=kernel)) as svc:
         result = svc.update_batch(ops)
         assert result.deletes == len(ops)
-        svc._updater.verify()
+        svc._live.maintainer.verify()
         for side, q in ((Side.UPPER, top), (Side.UPPER, others[0][0])):
             expected = pmbc_online(svc.graph, side, q, 2, 2)
             got = svc.query(side, q, 2, 2).biclique

@@ -253,6 +253,55 @@ def test_malformed_edge_list_clean_error(tmp_path, capsys):
     assert err.startswith("error: malformed edge list"), err
 
 
+#: One bad query input per case; ``{edges}``/``{index}`` are filled in.
+_BAD_QUERY_INPUT = {
+    "query-vertex": ["query", "{edges}", "--side", "upper", "--vertex", "99"],
+    "query-index-vertex": [
+        "query", "{edges}", "--index", "{index}",
+        "--side", "upper", "--vertex", "99",
+    ],
+    "query-label": ["query", "{edges}", "--side", "upper", "--label", "nope"],
+    "query-tau": [
+        "query", "{edges}", "--side", "upper", "--vertex", "0", "--tau-u", "0",
+    ],
+    "topk-vertex": [
+        "topk", "{edges}", "--index", "{index}",
+        "--side", "upper", "--vertex", "99",
+    ],
+    "topk-label": [
+        "topk", "{edges}", "--index", "{index}",
+        "--side", "upper", "--label", "nope",
+    ],
+    "topk-tau": [
+        "topk", "{edges}", "--index", "{index}",
+        "--side", "upper", "--vertex", "0", "--tau-l", "0",
+    ],
+    "topk-no-vertex": ["topk", "{edges}", "--index", "{index}", "--side", "upper"],
+    "topk-k": [
+        "topk", "{edges}", "--index", "{index}",
+        "--side", "upper", "--vertex", "0", "-k", "0",
+    ],
+    "explain-vertex": ["explain", "{edges}", "99", "1", "1"],
+    "explain-label": ["explain", "{edges}", "--label", "nope"],
+    "explain-tau": ["explain", "{edges}", "0", "0", "1"],
+    "explain-dataset": ["explain", "NoSuchDataset", "0", "1", "1", "--dataset"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(_BAD_QUERY_INPUT.values()), ids=list(_BAD_QUERY_INPUT)
+)
+def test_bad_query_input_clean_error(argv, edges_file, tmp_path, capsys):
+    """A bad vertex, label, tau, k or dataset name is an ``error:`` line
+    and exit 2, not a traceback."""
+    index = str(tmp_path / "index.json")
+    assert main(["build", edges_file, "-o", index]) == 0
+    capsys.readouterr()
+    assert main([a.format(edges=edges_file, index=index) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+
+
 def test_serve_parser_defaults():
     from repro.cli import build_parser
 
