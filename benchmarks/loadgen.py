@@ -414,8 +414,6 @@ def main(argv=None) -> int:
                         help="service worker threads")
     parser.add_argument("--cache-size", type=int, default=64,
                         help="engine LRU capacity")
-    parser.add_argument("--execution", choices=("thread", "process"),
-                        default="thread")
     parser.add_argument("--url", default=None,
                         help="drive a live server at this URL instead of an "
                              "in-process service")
@@ -455,7 +453,6 @@ def main(argv=None) -> int:
             num_workers=args.workers,
             max_queue=max(256, args.stream),
             cache_size=args.cache_size,
-            execution=args.execution,
             default_deadline=args.deadline,
         )
         service = PMBCService(graph, config=config).start()

@@ -7,7 +7,11 @@ Two questions about :mod:`repro.exec`:
    process pool uses real cores.  With >=4 cores the process backend
    must clear a 2x throughput speedup on a parallel query sweep; on
    smaller hosts the assertion is skipped (the pool only adds IPC
-   overhead there) and the measurement is still reported.
+   overhead there: ``--quick`` read process/thread 0.45-0.54x on a
+   2-vCPU VM) and the measurement is still reported.  The process
+   backend serves ``build_index_parallel`` and direct
+   ``create_executor`` users; the query service runs every search on
+   its worker threads.
 
 2. **Batch extraction sharing.**  On a Zipf-skewed stream with an LRU
    smaller than the working set, a per-query loop re-extracts evicted

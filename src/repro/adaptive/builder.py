@@ -203,22 +203,17 @@ class BackgroundBuilder:
         """Wake the sweeper immediately instead of awaiting the interval."""
         self._wake.set()
 
-    def update_graph(self, graph: BipartiteGraph, executor=None) -> None:
+    def update_graph(self, graph: BipartiteGraph) -> None:
         """Point future builds at a post-update graph snapshot.
 
         Streaming updates (:meth:`repro.serve.PMBCService.update_batch`)
         call this after swapping the serving graph so persistence and
-        subsequent builds see the new layer sizes.  ``executor``
-        optionally replaces the build substrate — a process pool whose
-        workers inherited the pre-update graph at spawn cannot build
-        correct trees anymore, so the service hands over an in-process
-        fallback.  A build already in flight on the old substrate is
-        dropped when it finishes: the caller's eviction pass, which runs
-        after this swap, moves the partial index's generation.
+        subsequent builds see the new layer sizes.  A build already in
+        flight on the pre-update graph is dropped when it finishes: the
+        caller's eviction pass, which runs after this swap, moves the
+        partial index's generation.
         """
         self._graph = graph
-        if executor is not None:
-            self._executor = executor
 
     # ------------------------------------------------------------------
     # sweeping

@@ -16,10 +16,9 @@ Subcommands:
   counts by rule (see docs/observability.md);
 - ``pmbc stats <edges-file>`` — graph and index statistics;
 - ``pmbc datasets`` — list the built-in dataset zoo;
-- ``pmbc serve <edges-file> [--index index.bin] [--execution
-  thread|process]`` — run the HTTP query-serving front-end over one
-  service (see :mod:`repro.serve`, :mod:`repro.exec`,
-  docs/serving.md and docs/execution.md);
+- ``pmbc serve <edges-file> [--index index.bin]`` — run the HTTP
+  query-serving front-end over one service (see :mod:`repro.serve`
+  and docs/serving.md);
 - ``pmbc update --url http://HOST:PORT insert:3:7 delete:1:2`` — apply
   a batch of streaming edge updates to a running server via ``POST
   /update`` (incremental bound repair instead of a rebuild; see
@@ -431,15 +430,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import AsyncPMBCServer, PMBCService, ServiceConfig
 
     try:
+        if not 0 <= args.port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {args.port}")
         config = ServiceConfig(
             num_workers=args.workers,
             max_queue=args.queue_size,
-            default_deadline=args.deadline if args.deadline > 0 else None,
+            # Only 0 disables; ServiceConfig rejects negative and NaN.
+            default_deadline=None if args.deadline == 0 else args.deadline,
             cache_size=args.cache_size,
             use_core_bounds=not args.no_core_bounds,
             kernel=args.kernel,
-            execution=args.execution,
-            exec_workers=args.exec_workers,
             adaptive=args.adaptive,
             index_budget_mb=args.index_budget_mb,
             hot_threshold=args.hot_threshold,
@@ -452,13 +452,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     index = _load_index(args.index) if args.index else None
     service = PMBCService(graph, index=index, config=config).start()
     chain = " -> ".join(service.backend_names)
-    stats = service.stats()
-    execution = stats["execution"]
     print(
         f"pmbc serve: |U|={graph.num_upper} |L|={graph.num_lower} "
         f"|E|={graph.num_edges}, backends: {chain}, "
-        f"kernel: {stats['kernel']}, "
-        f"execution: {execution['kind']} x{execution['workers']}",
+        f"kernel: {service.engine.kernel}",
         flush=True,
     )
     coverage = service.index_coverage()
@@ -744,14 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8642)
     p_serve.add_argument("--workers", type=int, default=8,
                          help="worker thread-pool size (default 8)")
-    p_serve.add_argument("--execution", choices=("thread", "process"),
-                         default="thread",
-                         help="where the search runs: in the worker "
-                              "threads (GIL bound) or on a process pool "
-                              "(real cores); see docs/execution.md")
-    p_serve.add_argument("--exec-workers", type=int, default=None,
-                         help="process-pool size for --execution process "
-                              "(default: --workers)")
     p_serve.add_argument("--queue-size", type=int, default=64,
                          help="bounded request queue capacity (default 64)")
     p_serve.add_argument("--deadline", type=float, default=30.0,

@@ -1,12 +1,13 @@
 """repro.exec — the process-parallel execution substrate.
 
-One pool abstraction shared by the serving layer and the parallel
-index build:
+One pool abstraction for the parallel index build (Algorithm 6) and
+direct :func:`create_executor` users; the serving layer runs its
+searches and adaptive builds on a :class:`ThreadBackend` only:
 
 - :class:`~repro.exec.executor.Executor` — dispatch named tasks over
   ``(side, q, τU, τL)`` work items with uniform metrics;
-- :class:`~repro.exec.executor.ThreadBackend` — in-process execution
-  (PR 1 behaviour): shared engine, shared LRU, GIL bound;
+- :class:`~repro.exec.executor.ThreadBackend` — in-process execution:
+  shared engine, shared LRU, GIL bound;
 - :class:`~repro.exec.executor.ProcessBackend` — worker processes that
   inherit the immutable graph + core bounds once and then answer work
   items without re-pickling the graph, for real-core parallelism;

@@ -1,21 +1,20 @@
-"""The execution substrate: one pool abstraction for serving and builds.
+"""The execution substrate: one pool abstraction for many work items.
 
 The branch-and-bound at the heart of every personalized query is pure
-Python, so a *thread* pool — PR 1's worker model — saturates a single
-core under the GIL no matter how wide it is.  This module factors the
-"run many ``(side, q, τU, τL)`` work items" concern out of the serving
-and index-construction layers into an :class:`Executor` with two
+Python, so a *thread* pool saturates a single core under the GIL no
+matter how wide it is.  This module factors the "run many ``(side, q,
+τU, τL)`` work items" concern into an :class:`Executor` with two
 interchangeable backends:
 
-- :class:`ThreadBackend` — the current behaviour: tasks run in the
-  calling thread (``run``) or a small thread pool (``map``), against
-  one shared in-process engine.  Zero startup cost, shared LRU, GIL
-  bound.
+- :class:`ThreadBackend` — tasks run in the calling thread (``run``)
+  or a small thread pool (``map``), against one shared in-process
+  engine.  Zero startup cost, shared LRU, GIL bound.  The serving
+  layer runs every search and adaptive build on one.
 - :class:`ProcessBackend` — a ``ProcessPoolExecutor`` whose workers
   inherit the immutable graph + core bounds **once** (copy-on-write
   under ``fork``, a single pickle per worker under ``spawn``) and then
   answer work items without re-shipping the graph.  Real-core
-  parallelism for CPU-bound search.
+  parallelism for the parallel index build and bulk sweeps.
 
 Use :func:`create_executor` to pick a backend by name with graceful
 degradation: a platform where process pools are unavailable falls back
@@ -53,7 +52,8 @@ __all__ = [
     "EXECUTION_KINDS",
 ]
 
-#: Valid ``execution=`` selector values, CLI and config use these.
+#: Valid backend names for :func:`create_executor` and
+#: ``build_index_parallel(execution=...)``.
 EXECUTION_KINDS = ("thread", "process")
 
 
@@ -180,8 +180,8 @@ class ThreadBackend(Executor):
     """In-process execution against one shared engine (GIL bound).
 
     ``run`` executes in the calling thread — when the serving layer's
-    worker threads call it, behaviour is byte-identical to PR 1's
-    direct engine calls.  ``map`` fans out over a thread pool, which
+    worker threads call it, behaviour is identical to calling the
+    engine directly.  ``map`` fans out over a thread pool, which
     preserves the pre-executor semantics of the parallel index build
     (shared array + skyline, lock-serialized appends).
     """

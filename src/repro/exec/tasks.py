@@ -29,7 +29,6 @@ from repro.core.result import Biclique
 from repro.corenum.bounds import CoreBounds
 from repro.graph.bipartite import BipartiteGraph
 from repro.kernel import resolve_kernel
-from repro.obs.trace import SearchTrace, use_trace
 
 __all__ = [
     "WorkerState",
@@ -137,33 +136,6 @@ def task_query_batch(state: WorkerState, items) -> list[Biclique | None]:
     return state.engine.query_batch([QueryRequest.of(i) for i in items])
 
 
-def task_query_traced(state: WorkerState, item):
-    """Answer one work item under a fresh trace.
-
-    Returns ``(answer, trace_summary)`` — the process backend runs in
-    another address space, so the trace cannot flow through the
-    parent's context variable; instead the worker traces locally and
-    ships the picklable summary back for the parent to fold into its
-    own trace (:meth:`repro.obs.trace.SearchTrace.merge_summary`).
-    """
-    request = QueryRequest.of(item)
-    trace = SearchTrace(trace_id=request.trace_id)
-    with use_trace(trace):
-        answer = state.engine.query(request)
-    return answer, trace.to_dict()
-
-
-def task_query_batch_traced(state: WorkerState, items):
-    """Answer a batch under a fresh trace; ``(answers, trace_summary)``."""
-    requests = [QueryRequest.of(i) for i in items]
-    trace = SearchTrace(
-        trace_id=requests[0].trace_id if requests else None
-    )
-    with use_trace(trace):
-        answers = state.engine.query_batch(requests)
-    return answers, trace.to_dict()
-
-
 def task_build_tree(state: WorkerState, item):
     """Build one vertex's search tree, returning a portable result.
 
@@ -225,8 +197,6 @@ def merge_portable_tree(
 TASKS = {
     "query": task_query,
     "query_batch": task_query_batch,
-    "query_traced": task_query_traced,
-    "query_batch_traced": task_query_batch_traced,
     "build_tree": task_build_tree,
     "build_tree_shared": task_build_tree_shared,
     "pack_count": task_pack_count,

@@ -150,9 +150,6 @@ class NullTrace:
     def annotate(self, **meta) -> None:
         """Ignore metadata."""
 
-    def merge_summary(self, summary: dict) -> None:
-        """Ignore a remote trace summary."""
-
 
 #: The process-wide disabled trace (the context default).
 NULL_TRACE = NullTrace()
@@ -266,24 +263,6 @@ class SearchTrace:
     def annotate(self, **meta) -> None:
         """Attach free-form metadata (query, backend, outcome...)."""
         self.meta.update(meta)
-
-    def merge_summary(self, summary: dict) -> None:
-        """Fold a remote worker's ``to_dict()`` summary into this trace.
-
-        The process execution backend runs the search in another
-        address space; its worker traces locally and ships the summary
-        back with the answer.  Counters and prune counts add; rounds
-        and spans append in arrival order.
-        """
-        for name, value in (summary.get("counters") or {}).items():
-            self.add(name, int(value))
-        for rule, value in (summary.get("prunes") or {}).items():
-            self.prune(rule, int(value))
-        self.rounds.extend(summary.get("rounds") or [])
-        self.spans.extend(summary.get("spans") or [])
-        remote_meta = summary.get("meta") or {}
-        for key, value in remote_meta.items():
-            self.meta.setdefault(key, value)
 
     # -- export --------------------------------------------------------
 

@@ -4,11 +4,10 @@ Turns the in-process query stack (PMBC-Index, the caching engine,
 online search) into a shared, instrumented service:
 
 - :class:`~repro.serve.service.PMBCService` — bounded request queue
-  with admission control, worker pool, per-request deadlines,
-  single-flight deduplication, pluggable thread/process execution
-  (see :mod:`repro.exec`), a vertex-grouped batch path
-  (:meth:`~repro.serve.service.PMBCService.query_batch`), and
-  index → execution → online degradation;
+  with admission control, a worker thread pool that runs the searches,
+  per-request deadlines, single-flight deduplication, a vertex-grouped
+  batch path (:meth:`~repro.serve.service.PMBCService.query_batch`),
+  and partial → index → engine → online degradation;
 - :class:`~repro.serve.aserver.AsyncPMBCServer` — the asyncio HTTP/JSON
   front-end (``/query``, ``/query_batch``, ``/update``, ``/healthz``,
   ``/metrics``, ``/stats``, ``/debug/traces``) multiplexing many open

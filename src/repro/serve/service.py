@@ -24,18 +24,17 @@ suitable for heavy concurrent traffic:
 - **single-flight deduplication** of identical concurrent
   ``(side, vertex, tau_u, tau_l, objective)`` searches (see
   :mod:`repro.serve.singleflight`);
-- **pluggable execution** (see :mod:`repro.exec`): the CPU-bound
-  branch-and-bound runs either in the worker threads themselves
-  (``execution="thread"``, the GIL-bound default) or on a process pool
-  whose workers inherited the graph once (``execution="process"``,
-  real-core parallelism);
+- **searches on the worker threads**: the CPU-bound branch-and-bound
+  runs in the worker thread that dequeued the request, through the
+  service's one :class:`~repro.exec.ThreadBackend` over the shared
+  engine;
 - a **batch path** (:meth:`PMBCService.query_batch`): one admission
   for many :class:`~repro.core.query.QueryRequest`, grouped by query
   vertex so shared two-hop extractions and the once-per-graph core
   bounds are amortized across the whole batch;
 - **graceful degradation** across backends: adaptive partial index
-  (when enabled) → index → execution backend → caching engine → plain
-  online search, falling through on unexpected backend failure; a
+  (when enabled) → index → caching engine → plain online search,
+  falling through on unexpected backend failure; a
   lookup-tier *miss* (vertex not resident, or an objective the index
   cannot answer) falls through cleanly without counting as a failure;
 - an optional **traffic-adaptive partial index**
@@ -61,6 +60,7 @@ suitable for heavy concurrent traffic:
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -77,19 +77,14 @@ from repro.core.index import PMBCIndex
 from repro.core.online import pmbc_online_star
 from repro.core.query import QueryRequest, pmbc_index_query
 from repro.core.result import Biclique
-from repro.exec.executor import (
-    EXECUTION_KINDS,
-    Executor,
-    ThreadBackend,
-    create_executor,
-)
+from repro.exec.executor import ThreadBackend
 from repro.exec.tasks import WorkerState
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.kernel import KERNEL_KINDS
 from repro.objectives import get_objective, objective_kinds
 from repro.obs.metrics_bridge import publish_trace, register_search_metrics
 from repro.obs.ring import TraceRing
-from repro.obs.trace import PRUNE_RULES, SearchTrace, current_trace, use_trace
+from repro.obs.trace import PRUNE_RULES, SearchTrace, use_trace
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.singleflight import SingleFlight, SingleFlightTimeout
 
@@ -170,20 +165,11 @@ class ServiceConfig:
         LRU capacity of the shared :class:`PMBCQueryEngine`.
     kernel:
         Compute kernel (``"bitset"``/``"set"``) for every search the
-        service runs — the shared engine, the process-pool workers and
-        the adaptive builder all inherit it.  ``None`` means
-        ``"bitset"``.
+        service runs — the shared engine and the adaptive builder both
+        inherit it.  ``None`` means ``"bitset"``.
     use_core_bounds:
         Precompute (α,β)-core bounds for the engine/online fallbacks
         (PMBC-OL* mode).  Disable for faster startup on huge graphs.
-    execution:
-        Where the CPU-bound search runs: ``"thread"`` (in the worker
-        threads, PR 1 behaviour) or ``"process"`` (a
-        :class:`repro.exec.ProcessBackend` pool — real cores, at the
-        price of per-worker caches).  See docs/execution.md.
-    exec_workers:
-        Process-pool size for ``execution="process"``; defaults to
-        ``num_workers``.
     trace_ring_size:
         How many recent trace summaries ``/debug/traces`` retains.
     adaptive:
@@ -213,8 +199,6 @@ class ServiceConfig:
     cache_size: int = 256
     kernel: str | None = None
     use_core_bounds: bool = True
-    execution: str = "thread"
-    exec_workers: int | None = None
     trace_ring_size: int = 256
     adaptive: bool = False
     index_budget_mb: float = 64.0
@@ -244,38 +228,27 @@ class ServiceConfig:
             raise ValueError(
                 f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}"
             )
-        if self.execution not in EXECUTION_KINDS:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_KINDS}, "
-                f"got {self.execution!r}"
-            )
-        if self.exec_workers is not None and self.exec_workers < 1:
-            raise ValueError(
-                f"exec_workers must be >= 1, got {self.exec_workers}"
-            )
         if self.trace_ring_size < 1:
             raise ValueError(
                 f"trace_ring_size must be >= 1, got {self.trace_ring_size}"
             )
-        if self.index_budget_mb <= 0:
+        # ``not x > 0`` also rejects NaN, which passes every ``<=`` test.
+        # inf stays valid where it means "never": no hot-set decay, or
+        # no persistence before shutdown.
+        for name in ("hot_threshold", "hot_half_life", "persist_interval"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < self.index_budget_mb < math.inf:
             raise ValueError(
-                f"index_budget_mb must be positive, got {self.index_budget_mb}"
+                "index_budget_mb must be positive and finite, "
+                f"got {self.index_budget_mb}"
             )
-        if self.hot_threshold <= 0:
+        # The builder's sweeper waits this long on an Event.
+        if not 0 < self.build_interval <= threading.TIMEOUT_MAX:
             raise ValueError(
-                f"hot_threshold must be positive, got {self.hot_threshold}"
-            )
-        if self.hot_half_life <= 0:
-            raise ValueError(
-                f"hot_half_life must be positive, got {self.hot_half_life}"
-            )
-        if self.build_interval <= 0:
-            raise ValueError(
-                f"build_interval must be positive, got {self.build_interval}"
-            )
-        if self.persist_interval <= 0:
-            raise ValueError(
-                f"persist_interval must be positive, got {self.persist_interval}"
+                f"build_interval must be in (0, {threading.TIMEOUT_MAX:g}], "
+                f"got {self.build_interval}"
             )
 
     @property
@@ -489,57 +462,23 @@ class _IndexBackend:
 
 
 class _ExecBackend:
-    """The execution substrate (thread or process pool).
+    """The shared caching engine, run through the service's executor.
 
-    With a :class:`~repro.exec.ThreadBackend` this runs the shared
-    engine in the calling worker thread — behaviourally identical to
-    querying the engine directly, so it reports as ``"engine"``.  With
-    a :class:`~repro.exec.ProcessBackend` it ships work items to the
-    pool and reports as ``"process"``.
+    :meth:`~repro.exec.ThreadBackend.run` calls the engine in the
+    calling worker thread, so the active trace propagates through the
+    context variable; the hop adds only the ``pmbc_exec_*`` metrics.
     """
-
-    def __init__(self, executor: Executor) -> None:
-        self.executor = executor
-        self.name = "engine" if executor.kind == "thread" else "process"
-
-    def query(self, request: QueryRequest) -> Biclique | None:
-        if self.executor.kind != "process":
-            # Thread execution runs in the calling thread, so the
-            # active trace propagates through the context variable.
-            return self.executor.run("query", request)
-        # The pool worker traces in its own address space and ships the
-        # summary back with the answer for the parent trace to absorb.
-        answer, summary = self.executor.run("query_traced", request)
-        trace = current_trace()
-        if trace.enabled:
-            trace.merge_summary(summary)
-        return answer
-
-    def query_batch(self, requests) -> list[Biclique | None]:
-        if self.executor.kind != "process":
-            return self.executor.run("query_batch", list(requests))
-        answers, summary = self.executor.run(
-            "query_batch_traced", list(requests)
-        )
-        trace = current_trace()
-        if trace.enabled:
-            trace.merge_summary(summary)
-        return answers
-
-
-class _EngineBackend:
-    """The shared caching engine (PMBC-OL* + two-hop LRU)."""
 
     name = "engine"
 
-    def __init__(self, engine: PMBCQueryEngine) -> None:
-        self.engine = engine
+    def __init__(self, executor: ThreadBackend) -> None:
+        self.executor = executor
 
     def query(self, request: QueryRequest) -> Biclique | None:
-        return self.engine.query(request)
+        return self.executor.run("query", request)
 
     def query_batch(self, requests) -> list[Biclique | None]:
-        return self.engine.query_batch(requests)
+        return self.executor.run("query_batch", list(requests))
 
 
 class _OnlineBackend:
@@ -628,44 +567,27 @@ class PMBCService:
             cache_size=self.config.cache_size,
             kernel=self.config.kernel,
         )
-        exec_workers = self.config.exec_workers or self.config.num_workers
-        if self.config.execution == "process":
-            self._executor = create_executor(
-                "process",
-                graph,
+        # Searches and adaptive builds run in the calling thread against
+        # the shared engine (and its LRU).
+        self._executor = ThreadBackend(
+            graph,
+            num_workers=self.config.num_workers,
+            metrics=self.metrics,
+            state=WorkerState(
+                graph=graph,
                 bounds=self.engine.bounds,
-                use_core_bounds=False,
-                num_workers=exec_workers,
                 cache_size=self.config.cache_size,
-                metrics=self.metrics,
                 kernel=self.engine.kernel,
-            )
-        else:
-            # Thread execution runs in the serving worker threads
-            # against the shared engine (and its LRU) — PR 1 behaviour.
-            self._executor = ThreadBackend(
-                graph,
-                num_workers=exec_workers,
-                metrics=self.metrics,
-                state=WorkerState(
-                    graph=graph,
-                    bounds=self.engine.bounds,
-                    cache_size=self.config.cache_size,
-                    kernel=self.engine.kernel,
-                    _engine=self.engine,
-                ),
-            )
+                _engine=self.engine,
+            ),
+        )
+        # The chain is fixed here: [partial] [index] engine online.
         self._backends: list[object] = []
         self._index_backend: _IndexBackend | None = None
         if index is not None:
             self._index_backend = _IndexBackend(index)
             self._backends.append(self._index_backend)
-        self._exec_backend = _ExecBackend(self._executor)
-        self._backends.append(self._exec_backend)
-        if self._executor.kind == "process":
-            # Keep the in-process engine as a degradation target in
-            # case the pool breaks mid-flight.
-            self._backends.append(_EngineBackend(self.engine))
+        self._backends.append(_ExecBackend(self._executor))
         self._online_backend = _OnlineBackend(
             graph, bounds=self.engine.bounds, kernel=self.engine.kernel
         )
@@ -676,8 +598,6 @@ class PMBCService:
         # costs one compute_bounds; read-only deployments never pay it).
         self._live: LiveGraph | None = None
         self._update_lock = threading.Lock()
-        self._exec_degraded = False
-        self._fallback_executor: ThreadBackend | None = None
 
         self._prebuilt_coverage: dict | None = None
         if index is not None:
@@ -812,11 +732,7 @@ class PMBCService:
             # A request admitted in the race window between the closed
             # check and the drain would otherwise hang its caller.
             self._drain_queue()
-            # Closing a process pool waits for in-flight work, so only
-            # a waiting close may do it.
             self._executor.close()
-            if self._fallback_executor is not None:
-                self._fallback_executor.close()
 
     def _drain_queue(self) -> None:
         while True:
@@ -1512,10 +1428,7 @@ class PMBCService:
         ≥ the old graph's exact bounds, hence still valid upper
         bounds), deletions repair *after* it (pre-delete bounds are ≥
         the shrunk graph's exact bounds).  New vertex ids extend the
-        layers.  Under ``execution="process"`` the pool — whose workers
-        inherited the pre-update graph at spawn — is degraded out of
-        the chain on the first update and serving falls back to the
-        in-process engine.
+        layers.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -1586,36 +1499,11 @@ class PMBCService:
         self.graph = graph
         self.engine.update_graph(graph, affected)
         self._online_backend.update_graph(graph)
-        if isinstance(self._executor, ThreadBackend):
-            # Worker tasks (queries, adaptive builds) read state.graph;
-            # the bounds object is repaired in place, never swapped.
-            self._executor.state.graph = graph
-        elif not self._exec_degraded:
-            # Process-pool workers inherited the pre-update graph when
-            # they were spawned; drop the pool from the chain for good
-            # and serve from the in-process engine (already a fallback
-            # backend in process mode).  The chain is replaced, not
-            # mutated, so a walk already under way keeps its own list.
-            self._backends = [
-                b for b in self._backends if b is not self._exec_backend
-            ]
-            self._exec_degraded = True
-            if self.builder is not None:
-                self._fallback_executor = ThreadBackend(
-                    graph,
-                    num_workers=1,
-                    state=WorkerState(
-                        graph=graph,
-                        bounds=self.engine.bounds,
-                        cache_size=self.config.cache_size,
-                        kernel=self.engine.kernel,
-                        _engine=self.engine,
-                    ),
-                )
-        if self._fallback_executor is not None:
-            self._fallback_executor.state.graph = graph
+        # Worker tasks (queries, adaptive builds) read state.graph; the
+        # bounds object is repaired in place, never swapped.
+        self._executor.state.graph = graph
         if self.builder is not None:
-            self.builder.update_graph(graph, executor=self._fallback_executor)
+            self.builder.update_graph(graph)
 
     def _evict_partial(self, affected) -> int:
         """Drop affected adaptive trees; the builder re-warms hot ones."""
@@ -1744,13 +1632,6 @@ class PMBCService:
             },
             "backends": list(self.backend_names),
             "kernel": self.engine.kernel,
-            "execution": {
-                "kind": self._executor.kind,
-                "workers": self._executor.num_workers,
-                "start_method": getattr(
-                    self._executor, "start_method", None
-                ),
-            },
             "batch": {
                 "count": self._batch_size.count,
                 "mean_size": self._batch_size.mean(),
@@ -1805,7 +1686,6 @@ class PMBCService:
                 "cascade_vertices": int(self._update_cascade.total()),
                 "trees_repaired": int(self._update_trees.total()),
                 "partial_evictions": int(self._update_evictions.total()),
-                "exec_degraded": self._exec_degraded,
                 "bounds": live.maintainer.stats()
                 if live is not None and live.maintainer is not None
                 else None,

@@ -1,10 +1,9 @@
-"""PMBCService on the process backend + the batch query path.
+"""PMBCService's batch query path.
 
-The serving semantics PR 1 established (deadlines, queue-full
-admission control, degradation) must hold unchanged when the
-CPU-bound search runs on a process pool, and the batch path must
-answer exactly like per-request queries while extracting each distinct
-two-hop subgraph at most once.
+The service runs every search on its worker threads through one
+:class:`~repro.exec.ThreadBackend`.  The batch path must answer exactly
+like per-request queries while extracting each distinct two-hop
+subgraph at most once.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.serve import (
     DeadlineExceededError,
     InvalidRequestError,
     PMBCService,
-    QueueFullError,
     ServiceConfig,
 )
 
@@ -41,67 +39,12 @@ def _requests(graph, stride=3):
 
 
 # ----------------------------------------------------------------------
-# process execution through the service
-
-
-def test_process_service_matches_thread_service(medium_planted_graph):
-    graph = medium_planted_graph
-    requests = _requests(graph, stride=5)
-    with PMBCService(
-        graph, config=ServiceConfig(num_workers=2)
-    ) as thread_service:
-        expected = [
-            _edges(thread_service.query(r).biclique) for r in requests
-        ]
-    config = ServiceConfig(num_workers=2, execution="process")
-    with PMBCService(graph, config=config) as process_service:
-        assert process_service.backend_names == (
-            "process", "engine", "online",
-        )
-        answers = [
-            process_service.query(r) for r in requests
-        ]
-    assert [_edges(a.biclique) for a in answers] == expected
-    assert all(a.backend == "process" for a in answers)
-
-
-def test_process_service_deadline_and_queue_semantics(paper_graph):
-    """Deadline/queue-full behaviour is execution-backend independent."""
-    release = threading.Event()
-
-    class _SlowBackend:
-        name = "slow"
-
-        def query(self, request):
-            release.wait(10)
-            return None
-
-    config = ServiceConfig(
-        num_workers=1, max_queue=2, execution="process"
-    )
-    with PMBCService(paper_graph, config=config) as service:
-        service._backends = [_SlowBackend()]
-        with pytest.raises(DeadlineExceededError):
-            service.query(Side.UPPER, 0, deadline=0.1)
-        futures = [service.submit(Side.UPPER, v) for v in (1, 2)]
-        with pytest.raises(QueueFullError):
-            for v in range(3, 10):
-                service.submit(Side.UPPER, v)
-        release.set()
-        for future in futures:
-            future.result(timeout=10)
-        with pytest.raises(InvalidRequestError):
-            service.query("upper", 0)  # raw surface still wants a Side
-
-
-# ----------------------------------------------------------------------
 # batch path
 
 
-@pytest.mark.parametrize("execution", ["thread", "process"])
-def test_query_batch_equals_per_query_loop(paper_graph, execution):
+def test_query_batch_equals_per_query_loop(paper_graph):
     requests = _requests(paper_graph, stride=1)
-    config = ServiceConfig(num_workers=2, execution=execution)
+    config = ServiceConfig(num_workers=2)
     with PMBCService(paper_graph, config=config) as service:
         singles = [
             _edges(service.query(r).biclique) for r in requests

@@ -34,7 +34,6 @@ def test_default_trace_is_null():
     trace.record_twohop(3, 4, 12)
     trace.add_round(tau_p=1)
     trace.annotate(backend="x")
-    trace.merge_summary({"counters": {"bb_nodes": 1}})
     with trace.span("anything"):
         pass
 
@@ -127,29 +126,6 @@ def test_generated_trace_ids_are_unique():
     ids = {new_trace_id() for __ in range(64)}
     assert len(ids) == 64
     assert all(len(i) == 12 for i in ids)
-
-
-def test_merge_summary_adds_and_appends():
-    trace = SearchTrace()
-    trace.add("bb_nodes", 5)
-    trace.annotate(backend="parent")
-    trace.merge_summary(
-        {
-            "counters": {"bb_nodes": 7, "cache_hits": 1},
-            "prunes": {"size_bound": 4},
-            "rounds": [{"tau_p": 2}],
-            "spans": [{"name": "remote", "ms": 1.0}],
-            "meta": {"backend": "worker", "pool": "p1"},
-        }
-    )
-    assert trace.counters["bb_nodes"] == 12
-    assert trace.counters["cache_hits"] == 1
-    assert trace.prunes == {"size_bound": 4}
-    assert trace.rounds == [{"tau_p": 2}]
-    assert trace.spans[-1]["name"] == "remote"
-    # Existing meta wins; new keys are adopted.
-    assert trace.meta["backend"] == "parent"
-    assert trace.meta["pool"] == "p1"
 
 
 def test_prune_rules_glossary_is_well_formed():

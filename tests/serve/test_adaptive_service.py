@@ -72,7 +72,7 @@ def test_partial_answer_matches_other_backends(medium_planted_graph):
 def test_miss_falls_through_without_fallback_count(paper_graph):
     with PMBCService(paper_graph, config=adaptive_config()) as service:
         result = service.query(Side.UPPER, 0, 1, 1)
-        assert result.backend in ("engine", "process")
+        assert result.backend == "engine"
         assert result.biclique is not None
         stats = service.stats()
         assert stats["adaptive"]["misses"] >= 1
@@ -407,7 +407,7 @@ def test_build_that_raced_an_update_is_not_served(medium_planted_graph):
     try:
         config = adaptive_config(hot_threshold=2.0)
         with PMBCService(medium_planted_graph, config=config) as service:
-            service.builder.update_graph(service.graph, executor=held)
+            service.builder._executor = held
             for __ in range(3):
                 service.query(Side.UPPER, q, tau, tau)
             assert held.built.wait(10.0), "the hot vertex was never built"
@@ -514,15 +514,25 @@ def test_non_adaptive_service_has_no_adaptive_parts(paper_graph):
 
 
 def test_config_validation():
+    nan, inf = float("nan"), float("inf")
     for kwargs in (
         {"index_budget_mb": 0},
         {"hot_threshold": 0},
         {"hot_half_life": 0},
         {"build_interval": 0},
         {"persist_interval": 0},
+        {"index_budget_mb": nan},
+        {"hot_threshold": nan},
+        {"hot_half_life": nan},
+        {"build_interval": nan},
+        {"persist_interval": nan},
+        {"index_budget_mb": inf},
+        {"build_interval": inf},
     ):
         with pytest.raises(ValueError):
             ServiceConfig(adaptive=True, **kwargs)
+    # inf means "never" where it is safe: no decay, save only at close.
+    ServiceConfig(adaptive=True, hot_half_life=inf, persist_interval=inf)
 
 
 def test_index_budget_bytes_conversion():

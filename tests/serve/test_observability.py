@@ -134,16 +134,6 @@ def test_bad_ring_size_rejected():
         ServiceConfig(trace_ring_size=0)
 
 
-def test_process_backend_ships_worker_trace(paper_graph):
-    config = ServiceConfig(num_workers=1, execution="process")
-    with PMBCService(paper_graph, config=config) as svc:
-        result = svc.query(Side.UPPER, 0, 2, 2, explain=True)
-    assert result.trace is not None
-    # Counters computed inside the pool worker must surface here.
-    assert result.trace["counters"]["progressive_rounds"] >= 1
-    assert result.trace["counters"]["twohop_extractions"] >= 1
-
-
 # ----------------------------------------------------------------------
 # HTTP layer
 

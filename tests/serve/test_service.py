@@ -310,13 +310,26 @@ def test_fallback_to_next_backend_on_failure(paper_graph):
 
 
 def test_index_primary_engine_fallback_order(paper_graph):
-    index = build_index_star(paper_graph)
-    with PMBCService(paper_graph, index=index) as service:
-        assert service.backend_names == ("index", "engine", "online")
-        assert service.query(Side.UPPER, 0).backend == "index"
-    with PMBCService(paper_graph) as service:
-        assert service.backend_names == ("engine", "online")
-        assert service.query(Side.UPPER, 0).backend == "engine"
+    """The chain is fixed when the service is built; updates keep it."""
+    w = min(paper_graph.neighbors(Side.UPPER, 0))
+    for kwargs, chain, answered_by in (
+        (
+            {"index": build_index_star(paper_graph)},
+            ("index", "engine", "online"),
+            "index",
+        ),
+        ({}, ("engine", "online"), "engine"),
+        (
+            {"config": ServiceConfig(num_workers=1, adaptive=True)},
+            ("partial", "engine", "online"),
+            "engine",   # cold: the partial tier misses
+        ),
+    ):
+        with PMBCService(paper_graph, **kwargs) as service:
+            assert service.backend_names == chain
+            assert service.query(Side.UPPER, 0).backend == answered_by
+            service.update_batch([("delete", 0, w)])
+            assert service.backend_names == chain
 
 
 # ----------------------------------------------------------------------

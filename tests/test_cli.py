@@ -335,15 +335,33 @@ def test_serve_port_in_use_clean_error(edges_file, capsys):
     [
         ("--workers", "0"),
         ("--queue-size", "0"),
-        ("--exec-workers", "0"),
         ("--index-budget-mb", "0"),
         ("--hot-threshold", "0"),
         ("--cache-size", "-1"),
+        pytest.param(
+            ("--adaptive", "--index-budget-mb", "nan"),
+            id="index-budget-mb-nan",
+        ),
+        pytest.param(
+            ("--adaptive", "--index-budget-mb", "inf"),
+            id="index-budget-mb-inf",
+        ),
+        pytest.param(("--hot-threshold", "nan"), id="hot-threshold-nan"),
+        pytest.param(("--port", "-1"), id="port-negative"),
+        pytest.param(("--port", "99999"), id="port-too-large"),
+        pytest.param(("--deadline", "-5"), id="deadline-negative"),
+        pytest.param(("--deadline", "nan"), id="deadline-nan"),
     ],
     ids=lambda flag: flag[0].lstrip("-"),
 )
-def test_serve_bad_config_clean_error(edges_file, flag, capsys):
-    """A config the service rejects is an ``error:`` line and exit 2."""
+def test_serve_bad_config_clean_error(edges_file, flag, monkeypatch, capsys):
+    """A config the service rejects is an ``error:`` line and exit 2.
+
+    A config that slips through reaches ``listening on``, where the
+    stdout below interrupts it: the case fails instead of serving
+    forever.
+    """
+    monkeypatch.setattr(sys, "stdout", _InterruptOnListening())
     assert main(["serve", edges_file, "--port", "0", *flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: "), err
